@@ -10,7 +10,6 @@ unwritable output destination.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import json
 import os
@@ -334,12 +333,7 @@ def run_config(data, seed_override: int | None = None, max_dim: int = DEFAULT_MA
     """Run every experiment in a parsed config; reports follow config order."""
     configs, seed = parse_config(data, seed_override)
     start = time.perf_counter()
-    if len(configs) == 1:
-        reports = [run_experiment(configs[0], max_dim)]
-    else:
-        workers = min(len(configs), os.cpu_count() or 1)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda c: run_experiment(c, max_dim), configs))
+    reports = [run_experiment(c, max_dim) for c in configs]
     return {
         "library_version": __version__,
         "seed": seed,

@@ -108,8 +108,8 @@ def _cluster_indices(angles: np.ndarray, gap: float) -> list[list[int]]:
 class SpectralDecomposition:
     """Eigenangles on (-pi, pi] with an orthonormal eigenbasis of a unitary.
 
-    ``angles`` are ascending; column ``j`` of ``vectors`` is the eigenvector
-    for angle ``angles[j]``; ``clusters`` partitions the indices into
+    ``angles`` (ascending from :func:`spectral_decompose`) label the columns
+    of ``vectors``, the eigenvectors; ``clusters`` partitions the indices into
     degeneracy groups (angles closer than the clustering gap).
     """
 
@@ -201,10 +201,10 @@ def spectral_decompose(
 def apply_circle_function(dec: SpectralDecomposition, g) -> np.ndarray:
     """Evaluate a circle function on a decomposed unitary: V diag(g(angle)) V†.
 
-    ``g`` maps angles in (-pi, pi] to complex scalars; it must be finite on
-    every eigenangle of the decomposition.
+    ``g`` maps the array of eigenangles to an array of finite complex values
+    of the same length, or to one finite scalar taken at every angle.
     """
-    values = np.asarray([g(float(a)) for a in dec.angles], dtype=complex)
+    values = np.broadcast_to(np.asarray(g(dec.angles), dtype=complex), dec.angles.shape)
     if not np.all(np.isfinite(values)):
         raise ValueError("circle function is not finite on every eigenangle")
     return (dec.vectors * values) @ dec.vectors.conj().T

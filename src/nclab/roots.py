@@ -13,7 +13,6 @@ identity is a legitimate root block (:func:`general_root_search`).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,14 +38,15 @@ _PARTITION_TOL = 1e-12
 class BranchFunction:
     """Piecewise-constant branch selector defining an n-th root on the circle.
 
-    ``arcs`` is a list of (start, end, k) with half-open arcs [start, end)
-    running counterclockwise and partitioning (-pi, pi]; an angle exactly on
-    a boundary belongs to the arc starting there.
+    ``arcs`` lists (start, end, k): half-open arcs [start, end) running
+    counterclockwise and partitioning (-pi, pi]; an angle on a boundary belongs
+    to the arc starting there.  Angle methods take floats or arrays alike.
     """
 
     n: int
     arcs: tuple[tuple[float, float, int], ...]
-    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _indices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -71,7 +71,8 @@ class BranchFunction:
         if abs(total - TWO_PI) > 1e-9:
             raise ValueError("arc lengths do not sum to the full circle")
         object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "_starts", tuple(s for s, _, _ in arcs))
+        object.__setattr__(self, "_starts", np.array([s for s, _, _ in arcs]))
+        object.__setattr__(self, "_indices", np.array([k for _, _, k in arcs]))
 
     @classmethod
     def principal(cls, n: int) -> "BranchFunction":
@@ -112,17 +113,15 @@ class BranchFunction:
             arcs.append((float(starts[i]), float(end), int(ks[i])))
         return cls(n, tuple(arcs))
 
-    def branch_index(self, angle: float) -> int:
+    def branch_index(self, angle):
         """Branch index at ``angle``: the arc with the largest start <= angle."""
-        i = bisect_right(self._starts, angle) - 1
-        if i < 0:
-            i = len(self.arcs) - 1  # wrap across the +pi cut
-        return self.arcs[i][2]
+        # Before the first start, position -1 wraps to the last arc across the +pi cut.
+        return self._indices[np.searchsorted(self._starts, angle, side="right") - 1]
 
-    def root_angle(self, angle: float) -> float:
+    def root_angle(self, angle):
         return (angle + TWO_PI * self.branch_index(angle)) / self.n
 
-    def root_value(self, angle: float) -> complex:
+    def root_value(self, angle):
         return np.exp(1j * self.root_angle(angle))
 
     def to_json(self) -> dict:
@@ -241,11 +240,7 @@ def branch_quotient(xi: BranchFunction, eta: BranchFunction):
     """
     if xi.n != eta.n:
         raise ValueError(f"branch orders differ: {xi.n} vs {eta.n}")
-
-    def g(angle: float) -> complex:
-        return np.exp(1j * (xi.root_angle(angle) - eta.root_angle(angle)))
-
-    return g
+    return lambda angle: np.exp(1j * (xi.root_angle(angle) - eta.root_angle(angle)))
 
 
 def correction_unitary(

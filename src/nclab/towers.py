@@ -10,11 +10,12 @@ breaks that independence by a visible amount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .operators import (
+    TWO_PI,
     SpectralDecomposition,
     apply_circle_function,
     as_operator,
@@ -22,10 +23,12 @@ from .operators import (
     require_unitary,
     spectral_decompose,
 )
-from .roots import TOL_ROOT, BranchFunction, nth_root_branch
+from .roots import TOL_ROOT, BranchFunction
 
 TOL_EMBED = 1e-9
-MAX_TOWER_DEPTH = 48  # angle resolution is exhausted near double precision
+# Angle halving is exact; 48 stays because a principal level there is within
+# pi * 2**-48 (1.1e-14) of I, the roundoff of a product at dimension 128.
+MAX_TOWER_DEPTH = 48
 
 
 @dataclass
@@ -137,14 +140,16 @@ class RootTower:
     """Square-root tower u_0, u_1, ..., u_L with u_k**2 = u_{k-1}.
 
     ``unitaries[k]`` is level k (level 0 is the base); ``residuals[k-1]``
-    records ||u_k**2 - u_{k-1}||.  Spectral decompositions are cached per
-    level for the embedding machinery.
+    records ||u_k**2 - u_{k-1}||.  All levels share the eigenvectors of
+    ``base``, the base's spectral decomposition; ``angles[k]`` holds level k's
+    eigenangles on (-pi, pi] in its column order.
     """
 
     unitaries: list[np.ndarray]
     branches: list[BranchFunction]
     residuals: list[float]
-    _decompositions: dict[int, SpectralDecomposition] = field(default_factory=dict, repr=False)
+    base: SpectralDecomposition
+    angles: list[np.ndarray]
 
     @property
     def depth(self) -> int:
@@ -160,9 +165,9 @@ class RootTower:
         return self.unitaries[k]
 
     def decomposition(self, k: int) -> SpectralDecomposition:
-        if k not in self._decompositions:
-            self._decompositions[k] = spectral_decompose(self.level(k))
-        return self._decompositions[k]
+        """Level k on the shared eigenbasis: the base's vectors and clusters, level k's angles."""
+        self.level(k)  # rejects a level outside the tower
+        return replace(self.base, angles=self.angles[k])
 
 
 def build_tower(
@@ -175,7 +180,8 @@ def build_tower(
 
     ``branches`` is one square-root branch reused at every level or a list
     of length ``depth``; each level is checked to square back onto the one
-    below within ``tol_root``.
+    below within ``tol_root``.  The base is decomposed once; a level's angles
+    are its branch's root angles of the level below, folded into (-pi, pi].
     """
     u = require_unitary(u)
     if depth < 1:
@@ -190,16 +196,20 @@ def build_tower(
     for b in branches:
         if b.n != 2:
             raise ValueError("tower branches must be square-root branches (order 2)")
+    base = spectral_decompose(u)
     levels = [u]
+    angles = [base.angles]
     residuals = []
     for b in branches:
-        nxt = nth_root_branch(levels[-1], b)
+        a = b.root_angle(angles[-1])
+        angles.append(np.where(a > np.pi, a - TWO_PI, a))
+        nxt = replace(base, angles=angles[-1]).reconstruct()
         residual = operator_norm(nxt @ nxt - levels[-1])
         if residual > tol_root:
             raise ArithmeticError(f"tower squaring residual {residual:.3e} exceeds {tol_root:.3e}")
         levels.append(nxt)
         residuals.append(residual)
-    return RootTower(unitaries=levels, branches=branches, residuals=residuals)
+    return RootTower(levels, branches, residuals, base, angles)
 
 
 def embed_compact_function(tower: RootTower, f: CompactFunction, level: int) -> np.ndarray:
@@ -216,7 +226,7 @@ def embed_compact_function(tower: RootTower, f: CompactFunction, level: int) -> 
         )
     dec = tower.decomposition(level)
     scale = 2.0 ** level / np.pi
-    return apply_circle_function(dec, lambda a: complex(f(scale * a)))
+    return apply_circle_function(dec, lambda a: f(scale * a))
 
 
 def level_independence_residual(

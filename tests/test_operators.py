@@ -167,7 +167,7 @@ class TestApplyCircleFunction:
     def test_rejects_nonfinite_values(self):
         d = spectral_decompose(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError, match="finite"):
-            apply_circle_function(d, lambda a: 1.0 / a if a != 0 else np.inf)
+            apply_circle_function(d, lambda a: np.where(a != 0, 1.0, np.inf))
 
 
 class TestCircleFunctionDistance:

@@ -1,7 +1,11 @@
 """Tests for branch roots, general roots, and root residual reports."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclab import (
     BranchFunction,
@@ -57,6 +61,22 @@ class TestBranchFunction:
         b = BranchFunction.with_flipped_arc(3, -0.25, 1.5, k=2)
         again = BranchFunction.from_json(b.to_json())
         assert again == b
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        angles=st.lists(st.floats(-np.pi, np.pi), max_size=8),
+    )
+    def test_array_angles_match_scalar_angles(self, seed, n, angles):
+        b = BranchFunction.random(n, np.random.default_rng(seed))
+        starts = [s for s, _, _ in b.arcs]
+        below = [np.nextafter(s, -np.inf) for s in starts]
+        points = np.array(starts + below + [-np.pi, np.pi] + angles)
+        assert np.array_equal(b.root_angle(points), [b.root_angle(float(a)) for a in points])
+        for a in points:
+            arc = b.arcs[bisect_right(starts, a) - 1]  # index -1 wraps across the cut
+            assert b.branch_index(float(a)) == arc[2]
 
     def test_flipped_arc_localized(self):
         b = BranchFunction.with_flipped_arc(2, -0.1, 0.1)

@@ -12,9 +12,13 @@ from nclab import (
     generate_span,
     level_independence_residual,
     multiplier_membership_check,
+    nth_root_branch,
     operator_norm,
+    random_unitary,
     shift_matrix,
 )
+from nclab.roots import TOL_ROOT
+from nclab.towers import MAX_TOWER_DEPTH
 
 PRINCIPAL = BranchFunction.principal(2)
 
@@ -93,6 +97,33 @@ class TestBuildTower:
     def test_squaring_residuals(self):
         t = build_tower(clock_matrix(1, 12), 20, PRINCIPAL)
         assert max(t.residuals) < 1e-9
+
+    def test_documented_depth_limit(self):
+        t = build_tower(clock_matrix(1, 128), MAX_TOWER_DEPTH, PRINCIPAL)
+        assert max(t.residuals) <= TOL_ROOT
+        assert level_independence_residual(t, hat(), 0, MAX_TOWER_DEPTH) <= 1e-12
+        t = build_tower(shift_matrix(32), MAX_TOWER_DEPTH, PRINCIPAL)
+        assert max(t.residuals) <= TOL_ROOT
+
+    @pytest.mark.parametrize(
+        "branches",
+        [
+            PRINCIPAL,
+            BranchFunction.with_flipped_arc(2, -0.4, 1.1),
+            [BranchFunction.random(2, np.random.default_rng(seed)) for seed in range(12)],
+            [BranchFunction.random(2, np.random.default_rng(seed)) for seed in range(12, 24)],
+        ],
+        ids=["principal", "flipped-arc", "random-a", "random-b"],
+    )
+    def test_levels_match_rerooting_each_level(self, branches):
+        # The reference re-decomposes every level.  A random base keeps the
+        # eigenangles off the branch cut, where roundoff of that fresh
+        # decomposition would pick the side of the cut.
+        u = random_unitary(32, np.random.default_rng(5))
+        t = build_tower(u, 12, branches)
+        for k in range(1, 13):
+            reference = nth_root_branch(t.level(k - 1), t.branches[k - 1])
+            assert operator_norm(t.level(k) - reference) <= 1e-9
 
     def test_rejects_excessive_depth(self):
         with pytest.raises(ValueError, match="depth"):
