@@ -34,6 +34,7 @@ from .spans import (
     amplification_iso_check,
     generate_span,
     membership_residual,
+    multiplier_membership_check,
     power_membership_residuals,
 )
 from .torus import (
@@ -56,7 +57,6 @@ from .towers import (
     build_tower,
     embed_compact_function,
     level_independence_residual,
-    multiplier_membership_check,
 )
 
 __all__ = [
@@ -84,6 +84,7 @@ __all__ = [
     "amplification_iso_check",
     "generate_span",
     "membership_residual",
+    "multiplier_membership_check",
     "power_membership_residuals",
     "AnticommutingWitness",
     "ThetaHalvingReport",
@@ -102,5 +103,4 @@ __all__ = [
     "build_tower",
     "embed_compact_function",
     "level_independence_residual",
-    "multiplier_membership_check",
 ]

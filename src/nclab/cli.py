@@ -38,6 +38,8 @@ from .towers import (
 )
 
 DEFAULT_MAX_DIM = 128
+# A span basis holds q**4 complex128 entries (16 * q**4 bytes); 256 MiB admits q <= 64.
+MAX_SPAN_BASIS_BYTES = 256 * 2**20
 
 KINDS = ("tower", "torus", "theta_tower", "span", "lemma_iso", "anticommute_demo")
 
@@ -123,6 +125,15 @@ def _torus_params(params: dict, kind: str, max_dim: int) -> TorusParams:
     if q > max_dim:
         raise ConfigError(f"{kind}: dimension {q} exceeds the maximum {max_dim}")
     return TorusParams(p, q)
+
+
+def _span_params(params: dict, max_dim: int) -> TorusParams:
+    """Torus parameters of a span experiment whose basis fits the memory limit."""
+    torus = _torus_params(params, "span", max_dim)
+    if 16 * torus.q**4 > MAX_SPAN_BASIS_BYTES:
+        limit = MAX_SPAN_BASIS_BYTES >> 20
+        raise ConfigError(f"span: a basis at q={torus.q} exceeds the {limit} MiB limit")
+    return torus
 
 
 def _branches_from_params(params: dict, depth: int) -> BranchFunction | list[BranchFunction]:
@@ -237,7 +248,7 @@ def _run_tower(cfg: ExperimentConfig, max_dim: int):
 
 
 def _run_span(cfg: ExperimentConfig, max_dim: int):
-    params = _torus_params(cfg.parameters, "span", max_dim)
+    params = _span_params(cfg.parameters, max_dim)
     word_cap = int(cfg.parameters.get("word_cap", 2))
     rep = clock_shift(params)
     span = generate_span([rep.U, rep.V], word_cap)

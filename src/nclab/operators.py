@@ -137,31 +137,72 @@ class SpectralDecomposition:
         return out
 
 
+class Orthonormalizer:
+    """Orthonormal complex rows, grown block by block in a preallocated
+    ``(capacity, length)`` array.  ``extend`` projects a block out of the kept
+    rows by classical Gram-Schmidt applied twice (Giraud, Langou & Rozloznik,
+    Numer. Math. 2005), then orthonormalizes the survivors in input order,
+    rejecting remainders of norm below ``tol``, up to ``capacity`` rows.
+    """
+
+    def __init__(self, capacity: int, length: int, tol: float):
+        self.rows = np.empty((capacity, length), dtype=complex)
+        self.count = 0
+        self.tol = tol
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.rows[: self.count]
+
+    @property
+    def full(self) -> bool:
+        return self.count == len(self.rows)
+
+    def extend(self, block) -> np.ndarray:
+        """Keep the independent rows of ``block``; returns the kept mask."""
+        block = np.array(block, dtype=complex)
+        if self.count:
+            basis = self.basis
+            for _ in range(2):
+                block -= (block @ basis.conj().T) @ basis
+        norms = np.linalg.norm(block, axis=1)
+        kept = np.zeros(len(block), dtype=bool)
+        start = self.count
+        for i in np.flatnonzero(norms >= self.tol):
+            if self.full:
+                break
+            v = block[i]
+            new = self.rows[start : self.count]
+            for _ in range(2 if len(new) else 0):
+                v = v - (new.conj() @ v) @ new
+            nrm = np.linalg.norm(v)
+            if start and self.tol <= nrm < norms[i] / 2:
+                # Cancellation against this block's rows magnifies what the
+                # block passes left along the older rows: project them all out.
+                for _ in range(2):
+                    v = v - (self.basis.conj() @ v) @ self.basis
+                nrm = np.linalg.norm(v)
+            if nrm >= self.tol:
+                self.rows[self.count] = v / nrm
+                self.count += 1
+                kept[i] = True
+        return kept
+
+
 def _canonical_cluster_basis(vectors: np.ndarray, clusters: list[list[int]]) -> np.ndarray:
     """Replace each cluster's eigenbasis by one obtained deterministically:
     project the standard basis onto the eigenspace and orthonormalize in
-    index order.  Fixes all eigenvector phase/rotation freedom.
+    index order.  Fixes all eigenvector phase/rotation freedom.  Row j of
+    ``vc.conj()`` is that projection of e_j in the orthonormal columns ``vc``.
     """
-    dim = vectors.shape[0]
     out = vectors.copy()
     for idx in clusters:
         vc = vectors[:, idx]
-        proj = vc @ vc.conj().T
-        chosen: list[np.ndarray] = []
-        for j in range(dim):
-            if len(chosen) == len(idx):
-                break
-            w = proj[:, j].copy()
-            for _ in range(2):  # double orthogonalization for stability
-                for c in chosen:
-                    w -= (c.conj() @ w) * c
-            nrm = np.linalg.norm(w)
-            if nrm > 1e-10:
-                chosen.append(w / nrm)
-        if len(chosen) != len(idx):
+        coords = Orthonormalizer(len(idx), len(idx), 1e-10)
+        coords.extend(vc.conj())
+        if not coords.full:
             raise ArithmeticError("failed to span a degenerate eigenspace deterministically")
-        for col, vec in zip(idx, chosen):
-            out[:, col] = vec
+        out[:, idx] = vc @ coords.rows.T
     return out
 
 

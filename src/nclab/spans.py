@@ -2,12 +2,14 @@
 
 A generated span materializes the algebra spanned by all products of
 generators, their adjoints, and the identity up to a word-length cap, as an
-orthonormal matrix basis.  Membership of any operator is then an orthogonal
-projection.  On top of that sits the amplification-isomorphism check: two
-root branches of the same unitary differ by a correction unitary whose
-powers twist the amplified word algebra, and the induced word map is tested
-for multiplicativity, adjoint-compatibility, module-compatibility, and span
-preservation.
+orthonormal matrix basis: one breadth-first search keeps each word that
+extends the span, through ``operators.Orthonormalizer``.  Membership of any
+operator is then an orthogonal projection.  On top of that sits the
+amplification-isomorphism check, whose base words come from the same
+search: two root branches of the same unitary differ by a correction
+unitary whose powers twist the amplified word algebra, and the induced word
+map is tested for multiplicativity, adjoint-compatibility,
+module-compatibility, and span preservation.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import as_operator, hs_norm, operator_norm, spectral_decompose
+from .operators import Orthonormalizer, as_operator, hs_norm, operator_norm, spectral_decompose
 from .roots import BranchFunction, correction_unitary, nth_root_branch
 
 RANK_TOL = 1e-8
@@ -54,28 +56,28 @@ class GeneratedAlgebraSpan:
         return float(np.max(np.abs(gram - np.eye(self.span_dim))))
 
 
-class _GramSchmidt:
-    """Incremental modified Gram-Schmidt over vectorized matrices."""
-
-    def __init__(self, dim: int, rank_tol: float):
-        self.dim = dim
-        self.rank_tol = rank_tol
-        self.rows: list[np.ndarray] = []
-
-    def add(self, mat: np.ndarray) -> bool:
-        """Orthogonalize ``mat`` against the basis; keep it if independent."""
-        v = mat.reshape(-1).astype(complex)
-        for _ in range(2):
-            for row in self.rows:
-                v = v - (row.conj() @ v) * row
-        nrm = np.linalg.norm(v)
-        if nrm < self.rank_tol:
-            return False
-        self.rows.append(v / nrm)
-        return True
-
-    def matrices(self) -> np.ndarray:
-        return np.array(self.rows).reshape(len(self.rows), self.dim, self.dim)
+def _word_levels(alphabet, word_cap: int, basis: Orthonormalizer, word_budget: int):
+    """Breadth-first levels of words, as stacked matrices: the identity, then
+    each kept word times every letter, keeping the products that extend
+    ``basis``.  Kept words span what all words span, at work proportional to
+    the span dimension.  Stops after ``word_cap`` levels or once nothing new
+    is kept.
+    """
+    letters = np.array(alphabet)
+    dim = letters.shape[1]
+    level = np.eye(dim, dtype=complex)[None]
+    basis.extend(level.reshape(1, -1))
+    yield level
+    processed = 0
+    for _ in range(word_cap):
+        if not len(level) or basis.full:
+            return
+        processed += len(level) * len(letters)
+        if processed > word_budget:
+            raise ValueError(f"word budget exceeded: more than {word_budget} candidate words")
+        candidates = np.matmul(level[:, None], letters[None]).reshape(-1, dim, dim)
+        level = candidates[basis.extend(candidates.reshape(len(candidates), -1))]
+        yield level
 
 
 def generate_span(
@@ -87,11 +89,11 @@ def generate_span(
     """Span of all words of length <= ``word_cap`` over generators, their
     adjoints, and the identity.
 
-    Words are explored breadth-first in deterministic order: generators in
-    the given order, then their adjoints.  Each length step multiplies the
-    newly found independent directions by every letter, which spans exactly
-    the same space as enumerating every word while keeping the work
-    proportional to the span dimension.
+    The words are those the breadth-first search reaches, in deterministic
+    order: generators in the given order, then their adjoints.  One
+    orthonormalizer of capacity dim**2 keeps each word that is independent
+    of the words before it (remainder norm at least ``rank_tol``).  Raises
+    ``ValueError`` once more than ``word_budget`` candidate words are formed.
     """
     generators = [as_operator(g) for g in generators]
     if not generators:
@@ -104,31 +106,15 @@ def generate_span(
         raise ValueError("word cap must be at least 1")
 
     alphabet = generators + [g.conj().T for g in generators]
-    gs = _GramSchmidt(dim, rank_tol)
-    gs.add(np.eye(dim, dtype=complex))
-    frontier = [np.eye(dim, dtype=complex)]
-    processed = 0
-    for _ in range(word_cap):
-        new_frontier = []
-        for word in frontier:
-            for letter in alphabet:
-                processed += 1
-                if processed > word_budget:
-                    raise ValueError(
-                        f"word budget exceeded: more than {word_budget} candidate words"
-                    )
-                candidate = word @ letter
-                if gs.add(candidate):
-                    new_frontier.append(candidate)
-        frontier = new_frontier
-        if not frontier or len(gs.rows) == dim * dim:
-            break
+    basis = Orthonormalizer(dim * dim, dim * dim, rank_tol)
+    for _ in _word_levels(alphabet, word_cap, basis, word_budget):
+        pass
 
     span = GeneratedAlgebraSpan(
         generators=generators,
         word_cap=word_cap,
-        basis=gs.matrices(),
-        span_dim=len(gs.rows),
+        basis=basis.basis.reshape(basis.count, dim, dim),
+        span_dim=basis.count,
         dim=dim,
     )
     for i, g in enumerate(generators):
@@ -161,40 +147,34 @@ def power_membership_residuals(span: GeneratedAlgebraSpan, v, n: int) -> list[fl
     ]
 
 
-def _bfs_words(alphabet: list[np.ndarray], max_len: int, cap: int) -> list[np.ndarray]:
-    """Deterministic breadth-first word matrices, exact duplicates dropped."""
-    dim = alphabet[0].shape[0]
-    words = [np.eye(dim, dtype=complex)]
-    seen = {(np.round(words[0], 12) + 0.0).tobytes()}
-    frontier = [words[0]]
-    for _ in range(max_len):
-        nxt = []
-        for word in frontier:
-            for letter in alphabet:
-                cand = word @ letter
-                key = (np.round(cand, 12) + 0.0).tobytes()  # +0.0 folds -0.0 into 0.0
-                if key in seen:
-                    continue
-                seen.add(key)
-                words.append(cand)
-                nxt.append(cand)
-                if len(words) >= cap:
-                    return words
-        frontier = nxt
-        if not frontier:
-            break
-    return words
+def multiplier_membership_check(base_words, cover_ops, span) -> list[dict]:
+    """Products of base elements with covering elements, tested against a span.
+
+    For every pair (b, c) reports the span-membership residuals of b @ c and
+    c @ b; small residuals mean the base algebra multiplies the covering
+    span into itself.
+    """
+    base_words = [as_operator(b) for b in base_words]
+    cover_ops = [as_operator(c) for c in cover_ops]
+    for x in base_words + cover_ops:
+        if x.shape[0] != span.dim:
+            raise ValueError(f"dimension mismatch: {x.shape[0]} vs span dim {span.dim}")
+    report = []
+    for i, b in enumerate(base_words):
+        for j, c in enumerate(cover_ops):
+            report.append(
+                {
+                    "base_index": i,
+                    "cover_index": j,
+                    "left_residual": membership_residual(span, b @ c),
+                    "right_residual": membership_residual(span, c @ b),
+                }
+            )
+    return report
 
 
 def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.kron(np.kron(a, b), c)
-
-
-def _span_dim_of(mats: list[np.ndarray], rank_tol: float) -> int:
-    gs = _GramSchmidt(mats[0].shape[0], rank_tol)
-    for m in mats:
-        gs.add(m)
-    return len(gs.rows)
 
 
 @dataclass
@@ -284,7 +264,8 @@ def amplification_iso_check(
         if g.shape[0] != dim:
             raise ValueError("base generators must share the root unitary's dimension")
     alphabet = base + [u] + [g.conj().T for g in base] + [u.conj().T]
-    a_words = _bfs_words(alphabet, L, max_a_words)
+    word_basis = Orthonormalizer(max_a_words, dim * dim, rank_tol)
+    a_words = np.concatenate(list(_word_levels(alphabet, L, word_basis, WORD_BUDGET)))
 
     units = [
         np.zeros((m, m), dtype=complex) for _ in range(m * m)
@@ -372,21 +353,16 @@ def amplification_iso_check(
             module_res = max(module_res, operator_norm(lhs - rhs))
 
     # Span dimensions factor over the matrix-unit leg, which always
-    # contributes a full m*m factor on both sides.
-    leg12_dom = [
-        np.kron(xi_pows[k] @ a_words[ai], w_pows[j])
-        for k in range(n)
-        for ai in range(len(a_words))
-        for j in range(n)
-    ]
-    leg12_img = [
-        np.kron(eta_pows[k] @ a_words[ai], w_pows[k + j])
-        for k in range(n)
-        for ai in range(len(a_words))
-        for j in range(n)
-    ]
-    dom_dim = _span_dim_of(leg12_dom, rank_tol) * m * m
-    img_dim = _span_dim_of(leg12_img, rank_tol) * m * m
+    # contributes a full m*m factor on both sides.  Each row holds the Kronecker
+    # product of the first two legs, its entries in a fixed permuted order.
+    span_dims = []
+    for root_pows, twist in ((xi_pows, 0), (eta_pows, 1)):
+        roots = np.matmul(np.array(root_pows[:n])[:, None], a_words[None])
+        twists = np.array([w_pows[twist * k : twist * k + n] for k in range(n)])
+        legs = np.einsum("kaxy,kjzw->kajxyzw", roots, twists).reshape(n * len(a_words) * n, -1)
+        legs_basis = Orthonormalizer(len(legs), legs.shape[1], rank_tol)
+        span_dims.append(int(legs_basis.extend(legs).sum()) * m * m)
+    dom_dim, img_dim = span_dims
 
     return AmplificationIsoReport(
         multiplicativity_residual=mult_res,

@@ -18,7 +18,6 @@ from .operators import (
     TWO_PI,
     SpectralDecomposition,
     apply_circle_function,
-    as_operator,
     operator_norm,
     require_unitary,
     spectral_decompose,
@@ -237,30 +236,3 @@ def level_independence_residual(
         embed_compact_function(tower, f, level_a) - embed_compact_function(tower, f, level_b)
     )
 
-
-def multiplier_membership_check(base_words, cover_ops, span) -> list[dict]:
-    """Products of base elements with covering elements, tested against a span.
-
-    For every pair (b, c) reports the span-membership residuals of b @ c and
-    c @ b; small residuals mean the base algebra multiplies the covering
-    span into itself.
-    """
-    from .spans import membership_residual
-
-    base_words = [as_operator(b) for b in base_words]
-    cover_ops = [as_operator(c) for c in cover_ops]
-    for x in base_words + cover_ops:
-        if x.shape[0] != span.dim:
-            raise ValueError(f"dimension mismatch: {x.shape[0]} vs span dim {span.dim}")
-    report = []
-    for i, b in enumerate(base_words):
-        for j, c in enumerate(cover_ops):
-            report.append(
-                {
-                    "base_index": i,
-                    "cover_index": j,
-                    "left_residual": membership_residual(span, b @ c),
-                    "right_residual": membership_residual(span, c @ b),
-                }
-            )
-    return report

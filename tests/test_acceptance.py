@@ -198,6 +198,7 @@ def test_criterion_8_amplification_map():
     worst = 0.0
     worst_oracle = 0.0
     spans_ok = True
+    counts_ok = True
     for q, m, L, n in grid:
         u = clock_matrix(1, q)
         xi = BranchFunction.principal(n)
@@ -211,12 +212,15 @@ def test_criterion_8_amplification_map():
         )
         worst_oracle = max(worst_oracle, iso.word_calculus_residual)
         spans_ok = spans_ok and iso.span_dims_equal
+        # one base word per distinct power of u, at most 24
+        counts_ok = counts_ok and iso.word_count == n * n * m * m * min(2 * L + 1, q, 24)
     elapsed = time.perf_counter() - start
     announce(
         8,
-        worst <= 1e-8 and worst_oracle <= 1e-8 and spans_ok and elapsed <= 30.0,
+        worst <= 1e-8 and worst_oracle <= 1e-8 and spans_ok and counts_ok and elapsed <= 30.0,
         f"worst map residual {worst:.2e} (tol 1e-8), word-calculus oracle "
         f"{worst_oracle:.2e}, span dims {'equal' if spans_ok else 'UNEQUAL'}, "
+        f"word counts {'ok' if counts_ok else 'WRONG'}, "
         f"{elapsed:.2f}s (limit 30s)",
     )
 

@@ -1,12 +1,15 @@
 """Tests for the experiment runner: config parsing, reports, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from nclab.cli import (
+    MAX_SPAN_BASIS_BYTES,
     ConfigError,
+    _span_params,
     emit_report,
     main,
     parse_config,
@@ -126,6 +129,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="exceeds"):
             run_experiment(configs[0])
 
+    def test_span_memory_guard_at_its_limit(self):
+        assert 16 * 64**4 <= MAX_SPAN_BASIS_BYTES < 16 * 65**4
+        assert _span_params({"p": 1, "q": 64}, 128).q == 64
+        with pytest.raises(ConfigError, match="MiB"):
+            _span_params({"p": 1, "q": 65}, 128)
+
 
 class TestRendering:
     def _report(self):
@@ -205,6 +214,13 @@ class TestMainExitCodes:
         cfg = write_config(tmp_path, {"kind": "bogus"})
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_span_over_memory_limit_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": "span", "parameters": {"p": 1, "q": 65}})
+        start = time.perf_counter()
+        assert main(["run", cfg]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "MiB" in capsys.readouterr().err
 
     def test_invalid_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

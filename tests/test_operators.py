@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nclab import (
     apply_circle_function,
     circle_function_distance,
+    clock_matrix,
     hs_inner,
     operator_norm,
     random_unitary,
     spectral_decompose,
     unitarity_defect,
 )
+from nclab.operators import Orthonormalizer
 
 
 class TestOperatorNorm:
@@ -134,6 +138,70 @@ class TestSpectralDecompose:
         d = spectral_decompose(u)
         cluster_sizes = sorted(len(c) for c in d.clusters)
         assert cluster_sizes == [1, 2]
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_degenerate_basis_matches_qr_oracle(self, q, seed):
+        # clock (x) I_3 in a rotated basis: every eigenvalue is threefold.
+        dim = 3 * q
+        w = np.eye(dim) if seed is None else random_unitary(dim, np.random.default_rng(seed))
+        d = spectral_decompose(w @ np.kron(clock_matrix(1, q), np.eye(3)) @ w.conj().T)
+        assert sorted(len(c) for c in d.clusters) == [3] * q
+        for idx in d.clusters:
+            vc = d.vectors[:, idx]
+            proj = vc @ vc.conj().T
+            ranks = [0] + [np.linalg.matrix_rank(proj[:, : j + 1], tol=1e-10) for j in range(dim)]
+            cols = np.flatnonzero(np.diff(ranks))
+            qmat, r = np.linalg.qr(proj[:, cols])
+            qmat = qmat * (np.diag(r) / np.abs(np.diag(r)))  # phases with diag(R) > 0
+            assert np.max(np.abs(vc - qmat)) < 1e-12
+
+
+class TestOrthonormalizer:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(1, 10),
+        recipe=st.lists(st.sampled_from(["new", "repeat", "combine", "near", "zero"]), max_size=24),
+        split=st.integers(0, 24),
+        capacity=st.integers(1, 24),
+    )
+    # a row near the span of a row of its own block, both past the first block
+    @example(seed=0, length=3, recipe=["new", "near"], split=1, capacity=3)
+    def test_kept_rows_match_rank_oracle(self, seed, length, recipe, split, capacity):
+        rng = np.random.default_rng(seed)
+        rows = [rng.standard_normal(length) + 1j * rng.standard_normal(length)]
+        for kind in recipe:
+            if kind == "new":
+                rows.append(rng.standard_normal(length) + 1j * rng.standard_normal(length))
+            elif kind == "repeat":
+                rows.append(rows[rng.integers(len(rows))])
+            elif kind == "combine":
+                rows.append(rng.standard_normal(len(rows)) @ np.array(rows))
+            elif kind == "near":
+                # about 1e-6 off the span so far: one orthogonalization pass
+                # would leave it about 1e-10 from orthogonal to the kept rows
+                noise = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+                rows.append(rng.standard_normal(len(rows)) @ np.array(rows) + 1e-6 * noise)
+            else:
+                rows.append(np.zeros(length))
+        block = np.array(rows, dtype=complex)
+        basis = Orthonormalizer(capacity, length, 1e-8)
+        kept = np.concatenate([basis.extend(block[:split]), basis.extend(block[split:])])
+
+        ranks = [0] + [np.linalg.matrix_rank(block[: i + 1]) for i in range(len(block))]
+        expected = np.diff(ranks) > 0
+        expected &= np.cumsum(expected) <= capacity
+        assert np.array_equal(kept, expected)
+        kept_rows = basis.basis
+        assert np.max(np.abs(kept_rows.conj() @ kept_rows.T - np.eye(basis.count))) <= 1e-12
+        # Every row lies in the span of the kept rows, up to the last one
+        # kept when the capacity cuts the basis short.
+        covered = block if ranks[-1] <= capacity else block[: np.flatnonzero(kept)[-1] + 1]
+        remainder = covered - (covered @ kept_rows.conj().T) @ kept_rows
+        assert np.max(np.linalg.norm(remainder, axis=1)) <= 1e-10 * max(
+            1.0, np.max(np.linalg.norm(covered, axis=1))
+        )
 
 
 class TestApplyCircleFunction:

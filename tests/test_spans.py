@@ -49,6 +49,15 @@ class TestGenerateSpan:
         for b in span.basis:
             assert membership_residual(span, b.conj().T) < 1e-8
 
+    @pytest.mark.parametrize("p, q", [(3, 16), (5, 32)])
+    def test_clock_shift_words_span_all_matrices(self, p, q):
+        # Schwinger (PNAS 1960): the q**2 words U^a V^b are pairwise
+        # Hilbert-Schmidt orthogonal, so they span every q x q matrix.
+        rep = clock_shift(TorusParams(p, q))
+        span = generate_span([rep.U, rep.V], 2 * q)
+        assert span.span_dim == q * q
+        assert span.report()["residual_summary"]["max_basis_orthonormality_defect"] < 1e-12
+
     def test_monotone_and_stabilizing(self):
         rep = clock_shift(TorusParams(1, 4))
         dims = [generate_span([rep.U, rep.V], cap).span_dim for cap in range(1, 10)]
@@ -147,6 +156,17 @@ class TestAmplificationIso:
         # ...but the left-module property survives: the correction only
         # touches the amplification leg
         assert iso.module_residual < 1e-8
+
+    def test_word_count_counts_each_power_once(self):
+        # clock(3, 11) has 11 distinct powers and words of length <= 5 reach
+        # all of them; each is one base word, however roundoff splits equal
+        # products of different letter orders.
+        u = clock_matrix(3, 11)
+        xi = BranchFunction.principal(2)
+        eta = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
+        iso = amplification_iso_check([], u, xi, eta, 1, 5)
+        assert iso.word_count == 2 * 2 * 1 * 11
+        assert iso.span_dims_equal
 
     def test_correction_power_is_identity(self):
         u = clock_matrix(1, 5)
