@@ -57,6 +57,7 @@ from .towers import (
     build_tower,
     embed_compact_function,
     level_independence_residual,
+    max_level_independence,
 )
 
 __all__ = [
@@ -103,4 +104,5 @@ __all__ = [
     "build_tower",
     "embed_compact_function",
     "level_independence_residual",
+    "max_level_independence",
 ]

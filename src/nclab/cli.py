@@ -34,7 +34,7 @@ from .towers import (
     TOL_EMBED,
     CompactFunction,
     build_tower,
-    level_independence_residual,
+    max_level_independence,
 )
 
 DEFAULT_MAX_DIM = 128
@@ -169,6 +169,23 @@ def _functions_from_params(params: dict) -> list[CompactFunction]:
     raise ConfigError("tower: 'functions' must be a list or {\"hat_family\": {...}}")
 
 
+def _level_pairs_from_params(params: dict, min_level: int, depth: int) -> list[tuple[int, int]]:
+    choice = params.get("level_pairs", "all")
+    if choice == "all":
+        return [(a, b) for a in range(min_level, depth + 1) for b in range(a + 1, depth + 1)]
+    if not isinstance(choice, list) or not all(
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(isinstance(k, int) and not isinstance(k, bool) for k in pair)
+        for pair in choice
+    ):
+        raise ConfigError("tower: 'level_pairs' must be \"all\" or a list of integer pairs [a, b]")
+    for a, b in choice:
+        if not (min_level <= a <= depth and min_level <= b <= depth):
+            raise ConfigError(f"tower: level pair ({a}, {b}) outside {min_level}..{depth}")
+    return [(a, b) for a, b in choice]
+
+
 def _run_anticommute(cfg: ExperimentConfig, max_dim: int):
     witness = anticommuting_root_example()
     residuals = {
@@ -224,21 +241,9 @@ def _run_tower(cfg: ExperimentConfig, max_dim: int):
         tower = build_tower(clock_matrix(params.p, params.q), depth, branches, tol_root=np.inf)
     except ValueError as exc:
         raise ConfigError(f"tower: {exc}") from exc
-    pairs_choice = cfg.parameters.get("level_pairs", "all")
     min_level = max(f.support_exponent for f in functions)
-    if pairs_choice == "all":
-        pairs = [
-            (a, b) for a in range(min_level, depth + 1) for b in range(a + 1, depth + 1)
-        ]
-    else:
-        pairs = [(int(a), int(b)) for a, b in pairs_choice]
-        for a, b in pairs:
-            if not (min_level <= a <= depth and min_level <= b <= depth):
-                raise ConfigError(f"tower: level pair ({a}, {b}) outside {min_level}..{depth}")
-    max_indep = 0.0
-    for f in functions:
-        for a, b in pairs:
-            max_indep = max(max_indep, level_independence_residual(tower, f, a, b))
+    pairs = _level_pairs_from_params(cfg.parameters, min_level, depth)
+    max_indep = max(max_level_independence(tower, f, pairs) for f in functions)
     residuals = {
         "max_squaring_residual": max(tower.residuals),
         "max_level_independence": max_indep,

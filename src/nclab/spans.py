@@ -23,6 +23,8 @@ from .roots import BranchFunction, correction_unitary, nth_root_branch
 
 RANK_TOL = 1e-8
 WORD_BUDGET = 200_000
+# Rows of the basis Gram matrix formed at a time by the orthonormality check.
+GRAM_BLOCK_ROWS = 32
 
 
 @dataclass
@@ -51,9 +53,15 @@ class GeneratedAlgebraSpan:
         }
 
     def _orthonormality_defect(self) -> float:
+        """max |<b_i, b_j> - delta_ij|, from the Gram matrix in blocks of rows."""
         flat = self.basis.reshape(self.span_dim, -1)
-        gram = flat.conj() @ flat.T
-        return float(np.max(np.abs(gram - np.eye(self.span_dim))))
+        defect = 0.0
+        for start in range(0, self.span_dim, GRAM_BLOCK_ROWS):
+            gram = flat[start : start + GRAM_BLOCK_ROWS].conj() @ flat.T
+            rows = np.arange(len(gram))
+            gram[rows, start + rows] -= 1.0
+            defect = max(defect, float(np.max(np.abs(gram))))
+        return defect
 
 
 def _word_levels(alphabet, word_cap: int, basis: Orthonormalizer, word_budget: int):
@@ -131,7 +139,7 @@ def membership_residual(span: GeneratedAlgebraSpan, x) -> float:
         raise ValueError(f"dimension mismatch: {x.shape[0]} vs span dim {span.dim}")
     v = x.reshape(-1)
     flat = span.basis.reshape(span.span_dim, -1)
-    residual = v - flat.T @ (flat.conj() @ v)
+    residual = v - flat.T @ (flat @ v.conj()).conj()
     return float(np.linalg.norm(residual)) / max(1.0, hs_norm(x))
 
 

@@ -19,6 +19,7 @@ from nclab.cli import (
     run_config,
     run_experiment,
 )
+from nclab.towers import MAX_TOWER_DEPTH
 
 FLIPPED_BRANCH = {
     "n": 2,
@@ -129,6 +130,24 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="exceeds"):
             run_experiment(configs[0])
 
+    def test_tower_at_documented_depth_limit(self):
+        report = run_config(
+            {
+                "kind": "tower",
+                "parameters": {
+                    "p": 3,
+                    "q": 128,
+                    "depth": MAX_TOWER_DEPTH,
+                    "functions": {"hat_family": {"count": 5}},
+                    "level_pairs": "all",
+                },
+            }
+        )["reports"][0]
+        assert report["pass"]
+        assert report["details"]["pairs"] == 49 * 48 // 2
+        assert report["residuals"]["max_squaring_residual"] <= 1e-13
+        assert report["residuals"]["max_level_independence"] == 0.0
+
     def test_span_memory_guard_at_its_limit(self):
         assert 16 * 64**4 <= MAX_SPAN_BASIS_BYTES < 16 * 65**4
         assert _span_params({"p": 1, "q": 64}, 128).q == 64
@@ -221,6 +240,14 @@ class TestMainExitCodes:
         assert main(["run", cfg]) == 2
         assert time.perf_counter() - start < 1.0
         assert "MiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pairs", [[[1]], "x", [[1, 2, 3]], [[1, "a"]]])
+    def test_malformed_level_pairs_exit_two(self, tmp_path, capsys, pairs):
+        cfg = write_config(
+            tmp_path, {"kind": "tower", "parameters": {"p": 1, "q": 4, "level_pairs": pairs}}
+        )
+        assert main(["run", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_invalid_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

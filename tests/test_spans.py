@@ -1,5 +1,7 @@
 """Tests for generated word-spans and the amplified branch-swap check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,27 @@ class TestGenerateSpan:
         assert report["span_dim"] == 3
         assert report["word_cap"] == 2
         assert report["residual_summary"]["max_generator_membership"] < 1e-10
+
+
+    def test_report_allocates_less_than_half_the_basis(self):
+        rep = clock_shift(TorusParams(3, 16))
+        span = generate_span([rep.U, rep.V], 32)
+        tracemalloc.start()
+        try:
+            summary = span.report()["residual_summary"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < span.basis.nbytes / 2
+        # The whole Gram matrix and whole-basis projections, as formed before.
+        flat = span.basis.reshape(span.span_dim, -1)
+        defect = np.max(np.abs(flat.conj() @ flat.T - np.eye(span.span_dim)))
+        membership = max(
+            np.linalg.norm(v - flat.T @ (flat.conj() @ v)) / max(1.0, np.linalg.norm(v))
+            for v in (g.reshape(-1) for g in span.generators)
+        )
+        assert abs(summary["max_basis_orthonormality_defect"] - defect) <= 1e-15
+        assert abs(summary["max_generator_membership"] - membership) <= 1e-15
 
 
 class TestMembershipResidual:

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclab import (
     BranchFunction,
     CompactFunction,
+    apply_circle_function,
     build_tower,
     clock_matrix,
     embed_compact_function,
     generate_span,
     level_independence_residual,
+    max_level_independence,
     multiplier_membership_check,
     nth_root_branch,
     operator_norm,
@@ -18,7 +22,7 @@ from nclab import (
     shift_matrix,
 )
 from nclab.roots import TOL_ROOT
-from nclab.towers import MAX_TOWER_DEPTH
+from nclab.towers import MAX_TOWER_DEPTH, SVD_BLOCK
 
 PRINCIPAL = BranchFunction.principal(2)
 
@@ -194,6 +198,73 @@ class TestLevelIndependence:
     def test_zero_function_any_levels(self):
         t = build_tower(clock_matrix(1, 4), 2, PRINCIPAL)
         assert level_independence_residual(t, CompactFunction.zero(), 0, 2) == 0.0
+
+
+@st.composite
+def towers_functions_and_pairs(draw):
+    """A random tower (q <= 12, depth <= 6), a complex piecewise-linear function
+    supported within it, and level pairs with a == b and a repeated pair."""
+    q = draw(st.integers(1, 12))
+    depth = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["principal", "flipped", "random"]))
+    if kind == "principal":
+        branches = PRINCIPAL
+    elif kind == "flipped":
+        start, end = np.sort(rng.uniform(-np.pi, np.pi, size=2))
+        branches = [BranchFunction.with_flipped_arc(2, start, end)] + [PRINCIPAL] * (depth - 1)
+    else:
+        branches = [BranchFunction.random(2, rng) for _ in range(depth)]
+    tower = build_tower(random_unitary(q, rng), depth, branches)
+    exponent = draw(st.integers(0, min(2, depth)))
+    bound = 2.0**exponent
+    knots = draw(st.lists(st.floats(-bound, bound), min_size=2, max_size=7, unique=True))
+    parts = st.floats(-2, 2)
+    inner = [complex(draw(parts), draw(parts)) for _ in range(len(knots) - 2)]
+    f = CompactFunction(exponent, np.sort(knots), np.array([0j] + inner + [0j]))
+    level = st.integers(exponent, depth)
+    pairs = draw(st.lists(st.tuples(level, level), min_size=1, max_size=40))
+    pairs += [pairs[0], (pairs[0][1], pairs[0][1])]
+    return tower, f, pairs
+
+
+def embed_on_level(tower, f, level):
+    scale = 2.0**level / np.pi
+    return apply_circle_function(tower.decomposition(level), lambda a: f(scale * a))
+
+
+class TestMaxLevelIndependence:
+    @settings(max_examples=60, deadline=None)
+    @given(towers_functions_and_pairs())
+    def test_matches_largest_pairwise_norm(self, case):
+        tower, f, pairs = case
+        expected = max(
+            operator_norm(embed_on_level(tower, f, a) - embed_on_level(tower, f, b))
+            for a, b in pairs
+        )
+        assert abs(max_level_independence(tower, f, pairs) - expected) <= 1e-12
+        below = f.support_exponent - 1
+        with pytest.raises(ValueError) as embed_error:
+            embed_compact_function(tower, f, below)
+        with pytest.raises(ValueError, match="support exceeds") as pair_error:
+            max_level_independence(tower, f, pairs + [(below, tower.depth)])
+        assert str(pair_error.value) == str(embed_error.value)
+
+    def test_pairs_beyond_one_svd_block(self):
+        flip = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
+        t = build_tower(clock_matrix(1, 8), 2, [flip, PRINCIPAL])
+        worst = max_level_independence(t, hat(), [(0, 0)] * (2 * SVD_BLOCK) + [(0, 1)])
+        assert worst > 0.1
+        assert worst == level_independence_residual(t, hat(), 0, 1)
+
+    def test_no_pairs(self):
+        t = build_tower(clock_matrix(1, 4), 2, PRINCIPAL)
+        assert max_level_independence(t, hat(), []) == 0.0
+
+    def test_rejects_level_beyond_tower(self):
+        t = build_tower(clock_matrix(1, 4), 2, PRINCIPAL)
+        with pytest.raises(ValueError, match="outside"):
+            max_level_independence(t, hat(), [(0, 3)])
 
 
 class TestMultiplierMembership:
