@@ -31,6 +31,7 @@ from .torus import (
     iterate_theta_halving,
 )
 from .towers import (
+    MAX_TOWER_DEPTH,
     TOL_EMBED,
     CompactFunction,
     build_tower,
@@ -75,10 +76,24 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def _require(params: dict, key: str, kind: str):
-    if key not in params:
-        raise ConfigError(f"experiment kind '{kind}' requires parameter '{key}'")
-    return params[key]
+def _read(obj: dict, key: str, where: str, default=None, integer=False, low=None, high=None):
+    """``obj[key]``, or ``default`` if absent, as a finite number in [low, high],
+    integral if ``integer``; ``ConfigError`` otherwise (strings, null, bools)."""
+    if key not in obj:
+        if default is None:
+            raise ConfigError(f"{where} requires parameter '{key}'")
+        return default
+    value = obj[key]
+    finite = isinstance(value, float) and np.isfinite(value)
+    if not (finite or isinstance(value, int) and not isinstance(value, bool)):
+        raise ConfigError(f"{where}: '{key}' must be a finite number, got {value!r}")
+    if integer and value != int(value):
+        raise ConfigError(f"{where}: '{key}' must be an integer, got {value!r}")
+    value = int(value) if integer else float(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ConfigError(f"{where}: '{key}' must be {bounds}, got {value!r}")
+    return value
 
 
 def parse_experiment(obj: dict, index: int, seed: int) -> ExperimentConfig:
@@ -94,7 +109,7 @@ def parse_experiment(obj: dict, index: int, seed: int) -> ExperimentConfig:
     user_checks = obj.get("checks", {})
     if not isinstance(user_checks, dict):
         raise ConfigError(f"experiment {index}: 'checks' must be an object")
-    checks.update({str(k): float(v) for k, v in user_checks.items()})
+    checks.update({k: _read(user_checks, k, f"experiment {index} checks") for k in user_checks})
     name = str(obj.get("name", f"{kind}-{index}"))
     return ExperimentConfig(kind=kind, parameters=params, name=name, checks=checks, seed=seed)
 
@@ -113,15 +128,14 @@ def parse_config(data, seed_override: int | None = None) -> tuple[list[Experimen
         experiments = [data]
     else:
         raise ConfigError("config needs 'experiments' or a top-level 'kind'")
-    seed = int(data.get("seed", 0)) if seed_override is None else int(seed_override)
+    source = data if seed_override is None else {"seed": seed_override}
+    seed = _read(source, "seed", "config", 0, integer=True, low=0)
     return [parse_experiment(e, i, seed) for i, e in enumerate(experiments)], seed
 
 
 def _torus_params(params: dict, kind: str, max_dim: int) -> TorusParams:
-    p = int(_require(params, "p", kind))
-    q = int(_require(params, "q", kind))
-    if q < 1:
-        raise ConfigError(f"{kind}: q must be positive")
+    p = _read(params, "p", f"experiment kind '{kind}'", integer=True)
+    q = _read(params, "q", f"experiment kind '{kind}'", integer=True, low=1)
     if q > max_dim:
         raise ConfigError(f"{kind}: dimension {q} exceeds the maximum {max_dim}")
     return TorusParams(p, q)
@@ -152,21 +166,24 @@ def _branches_from_params(params: dict, depth: int) -> BranchFunction | list[Bra
 
 def _functions_from_params(params: dict) -> list[CompactFunction]:
     choice = params.get("functions", {"hat_family": {}})
-    if isinstance(choice, dict) and "hat_family" in choice:
+    if isinstance(choice, dict) and isinstance(choice.get("hat_family"), dict):
         fam = choice["hat_family"]
-        count = int(fam.get("count", 5))
-        spread = float(fam.get("max_center", 0.6))
-        half_width = float(fam.get("half_width", 0.3))
+        count = _read(fam, "count", "tower: hat_family", 5, integer=True, low=1)
+        spread = _read(fam, "max_center", "tower: hat_family", 0.6)
+        half_width = _read(fam, "half_width", "tower: hat_family", 0.3)
         centers = np.linspace(-spread, spread, count) if count > 1 else [0.0]
-        return [
-            CompactFunction.hat(float(c), half_width, support_exponent=0) for c in centers
-        ]
-    if isinstance(choice, list):
+        try:
+            return [
+                CompactFunction.hat(float(c), half_width, support_exponent=0) for c in centers
+            ]
+        except ValueError as exc:
+            raise ConfigError(f"tower: bad hat_family: {exc}") from exc
+    if isinstance(choice, list) and choice:
         try:
             return [CompactFunction.from_json(f) for f in choice]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"tower: bad function data: {exc}") from exc
-    raise ConfigError("tower: 'functions' must be a list or {\"hat_family\": {...}}")
+    raise ConfigError("tower: 'functions' must be a non-empty list or {\"hat_family\": {...}}")
 
 
 def _level_pairs_from_params(params: dict, min_level: int, depth: int) -> list[tuple[int, int]]:
@@ -208,9 +225,7 @@ def _run_torus(cfg: ExperimentConfig, max_dim: int):
 
 def _run_theta_tower(cfg: ExperimentConfig, max_dim: int):
     params = _torus_params(cfg.parameters, "theta_tower", max_dim)
-    steps = int(cfg.parameters.get("steps", 3))
-    if steps < 1:
-        raise ConfigError("theta_tower: 'steps' must be at least 1")
+    steps = _read(cfg.parameters, "steps", "theta_tower", 3, integer=True, low=1)
     try:
         reports = iterate_theta_halving(params, steps, max_dim=max_dim, tol=np.inf)
     except ValueError as exc:
@@ -234,7 +249,7 @@ def _run_theta_tower(cfg: ExperimentConfig, max_dim: int):
 
 def _run_tower(cfg: ExperimentConfig, max_dim: int):
     params = _torus_params(cfg.parameters, "tower", max_dim)
-    depth = int(cfg.parameters.get("depth", 3))
+    depth = _read(cfg.parameters, "depth", "tower", 3, integer=True, low=1, high=MAX_TOWER_DEPTH)
     branches = _branches_from_params(cfg.parameters, depth)
     functions = _functions_from_params(cfg.parameters)
     try:
@@ -254,36 +269,35 @@ def _run_tower(cfg: ExperimentConfig, max_dim: int):
 
 def _run_span(cfg: ExperimentConfig, max_dim: int):
     params = _span_params(cfg.parameters, max_dim)
-    word_cap = int(cfg.parameters.get("word_cap", 2))
+    word_cap = _read(cfg.parameters, "word_cap", "span", 2, integer=True, low=1)
     rep = clock_shift(params)
     span = generate_span([rep.U, rep.V], word_cap)
     report = span.report()
-    expected = cfg.parameters.get("expected_span_dim")
+    expected = _read(cfg.parameters, "expected_span_dim", "span", span.span_dim, True, low=0)
     residuals = {
         "max_generator_membership": report["residual_summary"]["max_generator_membership"],
         "orthonormality_defect": report["residual_summary"]["max_basis_orthonormality_defect"],
-        "span_dim_error": 0.0
-        if expected is None
-        else float(abs(span.span_dim - int(expected))),
+        "span_dim_error": float(abs(span.span_dim - expected)),
     }
     details = {"span_dim": span.span_dim, "word_cap": word_cap, "dim": params.q}
     return residuals, details
 
 
 def _run_lemma_iso(cfg: ExperimentConfig, max_dim: int):
-    params = _torus_params(cfg.parameters, "lemma_iso", max_dim)
-    n = int(cfg.parameters.get("n", 2))
-    m = int(cfg.parameters.get("m", 2))
-    word_cap = int(cfg.parameters.get("word_cap", 3))
-    flip_start = float(cfg.parameters.get("flip_start", 0.1))
-    flip_end = float(cfg.parameters.get("flip_end", 1.2))
-    flip_k = int(cfg.parameters.get("flip_k", 1))
+    torus = _torus_params(cfg.parameters, "lemma_iso", max_dim)
+    params = cfg.parameters
+    n = _read(params, "n", "lemma_iso", 2, integer=True, low=1)
+    m = _read(params, "m", "lemma_iso", 2, integer=True, low=1)
+    word_cap = _read(params, "word_cap", "lemma_iso", 3, integer=True, low=1)
+    flip_start = _read(params, "flip_start", "lemma_iso", 0.1)
+    flip_end = _read(params, "flip_end", "lemma_iso", 1.2)
+    flip_k = _read(params, "flip_k", "lemma_iso", 1, integer=True)
     try:
         xi = BranchFunction.principal(n)
         eta = BranchFunction.with_flipped_arc(n, flip_start, flip_end, flip_k)
     except ValueError as exc:
         raise ConfigError(f"lemma_iso: {exc}") from exc
-    u = clock_matrix(params.p, params.q)
+    u = clock_matrix(torus.p, torus.q)
     iso = amplification_iso_check([], u, xi, eta, m, word_cap, seed=cfg.seed)
     residuals = {
         "multiplicativity_residual": iso.multiplicativity_residual,
@@ -445,7 +459,7 @@ def main(argv=None) -> int:
         max_dim = _resolve_max_dim(args.max_dim)
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"nclab: config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -18,6 +18,7 @@ from .operators import (
     TWO_PI,
     SpectralDecomposition,
     apply_circle_function,
+    max_difference_norm,
     operator_norm,
     require_unitary,
     spectral_decompose,
@@ -28,8 +29,6 @@ TOL_EMBED = 1e-9
 # Angle halving is exact; 48 stays because a principal level there is within
 # pi * 2**-48 (1.1e-14) of I, the roundoff of a product at dimension 128.
 MAX_TOWER_DEPTH = 48
-# Embedding differences per batched SVD in max_level_independence.
-SVD_BLOCK = 16
 
 
 @dataclass
@@ -238,10 +237,10 @@ def max_level_independence(tower: RootTower, f: CompactFunction, pairs) -> float
     """max ||embed(f, a) - embed(f, b)|| over the level pairs (a, b); 0 for none.
 
     Each level that appears in ``pairs`` is embedded once, all of them as
-    one stack on the tower's shared eigenbasis.  The differences from one
-    first level take their operator norms (largest singular values) in
-    batched SVDs of at most ``SVD_BLOCK`` matrices, so the working set is the
-    stack plus one block.  Raises the errors of ``embed_compact_function``.
+    one stack on the tower's shared eigenbasis.  The differences take their
+    operator norms in ``max_difference_norm``'s batched SVDs, so the working
+    set is the stack plus one block.  Raises the errors of
+    ``embed_compact_function``.
     """
     pairs = list(pairs)
     levels = list(dict.fromkeys(k for pair in pairs for k in pair))
@@ -259,19 +258,7 @@ def max_level_independence(tower: RootTower, f: CompactFunction, pairs) -> float
     for out, vals in zip(embedded, values):
         np.matmul(vectors * vals, adjoint, out=out)
     index = {k: i for i, k in enumerate(levels)}
-    by_first: dict[int, list[int]] = {}
-    for a, b in pairs:
-        by_first.setdefault(index[a], []).append(index[b])
-    block = np.empty((min(SVD_BLOCK, len(pairs)), tower.dim, tower.dim), dtype=complex)
-    worst = 0.0
-    for a, rows in by_first.items():
-        for start in range(0, len(rows), SVD_BLOCK):
-            chunk = rows[start : start + SVD_BLOCK]
-            diffs = block[: len(chunk)]
-            for diff, b in zip(diffs, chunk):
-                np.subtract(embedded[a], embedded[b], out=diff)
-            worst = max(worst, float(np.linalg.svd(diffs, compute_uv=False)[:, 0].max()))
-    return worst
+    return max_difference_norm((embedded[index[a]], embedded[index[b]]) for a, b in pairs)
 
 
 def level_independence_residual(

@@ -1,12 +1,19 @@
 """Tests for the experiment runner: config parsing, reports, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclab.cli import (
+    KINDS,
     MAX_SPAN_BASIS_BYTES,
     ConfigError,
     _span_params,
@@ -31,6 +38,79 @@ FLIPPED_BRANCH = {
 }
 
 PRINCIPAL_BRANCH = {"n": 2, "arcs": [{"start": -np.pi, "end": np.pi, "k": 0}]}
+
+TORUS = {"p": 1, "q": 3}
+
+# Malformed values where numbers go, each of which must be a config error.
+MALFORMED = {
+    "string p": {"kind": "torus", "parameters": {"p": "x", "q": 3}},
+    "fractional p": {"kind": "torus", "parameters": {"p": 1.5, "q": 3}},
+    "nan q": {"kind": "torus", "parameters": {"p": 1, "q": float("nan")}},
+    "string threshold": {
+        "kind": "torus",
+        "parameters": TORUS,
+        "checks": {"relation_residual": "abc"},
+    },
+    "string seed": {"seed": "a", "experiments": [{"kind": "anticommute_demo"}]},
+    "negative seed": {"seed": -1, "experiments": [{"kind": "lemma_iso", "parameters": TORUS}]},
+    "bool seed": {"seed": True, "experiments": [{"kind": "anticommute_demo"}]},
+    "m zero": {"kind": "lemma_iso", "parameters": {**TORUS, "m": 0}},
+    "lemma word_cap zero": {"kind": "lemma_iso", "parameters": {**TORUS, "word_cap": 0}},
+    "span word_cap zero": {"kind": "span", "parameters": {"p": 1, "q": 2, "word_cap": 0}},
+    "null steps": {"kind": "theta_tower", "parameters": {**TORUS, "steps": None}},
+    "string depth": {"kind": "tower", "parameters": {**TORUS, "depth": "3"}},
+    "depth beyond limit": {"kind": "tower", "parameters": {**TORUS, "depth": MAX_TOWER_DEPTH + 1}},
+    "hat_family list": {"kind": "tower", "parameters": {**TORUS, "functions": {"hat_family": []}}},
+    "hat count zero": {
+        "kind": "tower",
+        "parameters": {**TORUS, "functions": {"hat_family": {"count": 0}}},
+    },
+    "no functions": {"kind": "tower", "parameters": {**TORUS, "functions": []}},
+}
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(-3.5, 3.5),
+    st.sampled_from([float("nan"), float("inf"), 0.5, 2.0]),
+    st.text(max_size=2),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["hat_family", "count", "max_center", "half_width", "n", "arcs", "k"]),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+_PARAMETER_KEYS = [
+    "p", "q", "n", "m", "word_cap", "steps", "depth", "branches", "functions",
+    "level_pairs", "expected_span_dim", "flip_start", "flip_end", "flip_k",
+]
+_EXPERIMENTS = st.fixed_dictionaries(
+    {"kind": st.sampled_from([*KINDS, "bogus"])},
+    optional={
+        "parameters": st.fixed_dictionaries(
+            {"p": st.integers(-2, 6), "q": st.integers(1, 9)},
+            optional={key: _VALUES for key in _PARAMETER_KEYS[2:]},
+        )
+        | st.dictionaries(st.sampled_from(_PARAMETER_KEYS), _VALUES, max_size=6)
+        | _VALUES,
+        "checks": st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2) | _VALUES,
+        "name": _SCALARS,
+    },
+)
+_CONFIGS = st.one_of(
+    _EXPERIMENTS,
+    st.lists(_EXPERIMENTS, max_size=3),
+    st.fixed_dictionaries(
+        {}, optional={"seed": _SCALARS, "experiments": st.lists(_EXPERIMENTS, max_size=3) | _VALUES}
+    ),
+    _VALUES,
+)
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -248,6 +328,25 @@ class TestMainExitCodes:
         )
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_parameters_exit_two(self, tmp_path, capsys, config):
+        assert main(["run", write_config(tmp_path, config)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=_CONFIGS)
+    def test_any_small_config_exits_cleanly(self, config):
+        # An exception escaping main would print a traceback; every outcome
+        # must instead be one of the documented exit codes.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config))
+            args = ["run", str(path), "--max-dim", "8", "--out", str(Path(tmp) / "r.json")]
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(args)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
     def test_invalid_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -6,16 +6,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nclab import (
+    BranchFunction,
     apply_circle_function,
     circle_function_distance,
     clock_matrix,
     hs_inner,
+    nth_root_branch,
     operator_norm,
     random_unitary,
+    shift_matrix,
     spectral_decompose,
     unitarity_defect,
 )
-from nclab.operators import Orthonormalizer
+from nclab.operators import (
+    CUT_WINDOW,
+    SVD_BLOCK,
+    Orthonormalizer,
+    _normalize_angles,
+    max_difference_norm,
+)
 
 
 class TestOperatorNorm:
@@ -51,6 +60,22 @@ class TestOperatorNorm:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             operator_norm(np.ones((2, 3)))
+
+
+class TestMaxDifferenceNorm:
+    @pytest.mark.parametrize("where", [0, SVD_BLOCK - 1, SVD_BLOCK + 3, 2 * SVD_BLOCK + 1])
+    def test_largest_in_any_block(self, where):
+        rng = np.random.default_rng(where)
+        count = 2 * SVD_BLOCK + 2
+        xs = rng.standard_normal((count, 5, 5)) + 1j * rng.standard_normal((count, 5, 5))
+        ys = xs + 1e-3 * rng.standard_normal((count, 5, 5))
+        ys[where] += np.eye(5)
+        expected = max(operator_norm(x - y) for x, y in zip(xs, ys))
+        assert operator_norm(xs[where] - ys[where]) == expected
+        assert abs(max_difference_norm(zip(xs, ys)) - expected) <= 1e-12
+
+    def test_no_pairs(self):
+        assert max_difference_norm([]) == 0.0
 
 
 class TestHsInner:
@@ -107,6 +132,33 @@ class TestSpectralDecompose:
     def test_minus_pi_maps_to_plus_pi(self):
         d = spectral_decompose(np.diag([-1.0 + 0j]))
         assert d.angles[0] == pytest.approx(np.pi)
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            clock_matrix(1, 16),
+            shift_matrix(8),
+            shift_matrix(128),
+            clock_matrix(1, 8),
+            shift_matrix(16),
+        ],
+        ids=["clock16", "shift8", "shift128", "clock8", "shift16"],
+    )
+    def test_eigenvalue_minus_one_sits_at_plus_pi(self, u):
+        # Roundoff puts -1 within an ulp of -pi for some of these and of +pi
+        # for others; the principal square root must be +i for all of them.
+        d = spectral_decompose(u)
+        assert d.angles[-1] == np.pi
+        v = d.vectors[:, -1]
+        assert np.allclose(u @ v, -v, atol=1e-12)
+        root = nth_root_branch(u, BranchFunction.principal(2))
+        assert np.allclose(root @ v, 1j * v, atol=1e-12)
+
+    def test_cut_window_edges(self):
+        angles = np.array([-np.pi, -np.pi + CUT_WINDOW, np.pi - CUT_WINDOW, np.pi])
+        assert np.all(_normalize_angles(angles) == np.pi)
+        outside = np.array([-np.pi + 2 * CUT_WINDOW, np.pi - 2 * CUT_WINDOW, 0.0])
+        assert np.array_equal(_normalize_angles(outside), outside)
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(9)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nclab import (
     BranchFunction,
@@ -14,8 +16,128 @@ from nclab import (
     correction_unitary,
     generate_span,
     membership_residual,
+    nth_root_branch,
+    operator_norm,
     power_membership_residuals,
+    random_unitary,
+    spectral_decompose,
 )
+from nclab.operators import Orthonormalizer
+from nclab.spans import RANK_TOL, WORD_BUDGET, _word_levels
+
+
+def _kron3(a, b, c):
+    return np.kron(np.kron(a, b), c)
+
+
+def amplification_iso_oracle(
+    A_generators, u, xi, eta, m, L, seed=0, max_a_words=24, max_pairs=200
+) -> dict:
+    """Brute-force reference for ``amplification_iso_check``: every word is
+    the full three-leg Kronecker product (root and base word, correction
+    power, matrix unit), and every residual is one ``operator_norm`` on it.
+    Same words, same random draws, same span-dimension computation."""
+    n = xi.n
+    dim = u.shape[0]
+    dec = spectral_decompose(u)
+    xi_u = nth_root_branch(u, xi, dec=dec)
+    eta_u = nth_root_branch(u, eta, dec=dec)
+    w = correction_unitary(u, xi, eta, dec=dec)
+    ident = np.eye(dim, dtype=complex)
+    xi_pows, eta_pows, w_pows = [ident], [ident], [ident]
+    for _ in range(n):
+        xi_pows.append(xi_pows[-1] @ xi_u)
+        eta_pows.append(eta_pows[-1] @ eta_u)
+    for _ in range(2 * n):
+        w_pows.append(w_pows[-1] @ w)
+    u_pows = [ident, u]
+
+    base = list(A_generators)
+    alphabet = base + [u] + [g.conj().T for g in base] + [u.conj().T]
+    word_basis = Orthonormalizer(max_a_words, dim * dim, RANK_TOL)
+    a_words = np.concatenate(list(_word_levels(alphabet, L, word_basis, WORD_BUDGET)))
+    units = [np.zeros((m, m), dtype=complex) for _ in range(m * m)]
+    for i in range(m):
+        for j in range(m):
+            units[i * m + j][i, j] = 1.0
+    eye_m = np.eye(m, dtype=complex)
+    words = [
+        (k, ai, j, x)
+        for k in range(n)
+        for ai in range(len(a_words))
+        for j in range(n)
+        for x in range(m * m)
+    ]
+
+    def domain_matrix(word):
+        k, ai, j, x = word
+        return _kron3(xi_pows[k] @ a_words[ai], w_pows[j], units[x])
+
+    def image_matrix(word):
+        k, ai, j, x = word
+        return _kron3(eta_pows[k] @ a_words[ai], w_pows[k + j], units[x])
+
+    def of_product(s, t, root_pows, twist):
+        fold, k = divmod(s[0] + t[0], n)
+        j = (s[2] + t[2]) % n
+        a = u_pows[fold] @ a_words[s[1]] @ a_words[t[1]]
+        return _kron3(root_pows[k] @ a, w_pows[twist * k + j], units[s[3]] @ units[t[3]])
+
+    def image_of_adjoint(s):
+        k, ai, j, x = s
+        ka, ja = (n - k) % n, (n - j) % n
+        a = a_words[ai].conj().T
+        if k > 0:
+            a = u.conj().T @ a
+        return _kron3(eta_pows[ka] @ a, w_pows[ka + ja], units[x].conj().T)
+
+    rng = np.random.default_rng(seed)
+    total = len(words)
+    if total * total <= max_pairs:
+        pairs = [(s, t) for s in words for t in words]
+    else:
+        idx = rng.integers(0, total, size=(max_pairs, 2))
+        pairs = [(words[i], words[j]) for i, j in idx]
+    mult_res = calc_res = 0.0
+    for s, t in pairs:
+        ims, imt = image_matrix(s), image_matrix(t)
+        ds, dt = domain_matrix(s), domain_matrix(t)
+        mult_res = max(mult_res, operator_norm(of_product(s, t, eta_pows, 1) - ims @ imt))
+        calc_res = max(calc_res, operator_norm(of_product(s, t, xi_pows, 0) - ds @ dt))
+    sample_words = (
+        words
+        if len(words) <= max_pairs
+        else [words[i] for i in rng.integers(0, total, size=max_pairs)]
+    )
+    adj_res = max(
+        operator_norm(image_of_adjoint(s) - image_matrix(s).conj().T) for s in sample_words
+    )
+    module_res = 0.0
+    acting = range(min(len(a_words), 8))
+    for ai in acting:
+        for s in sample_words[: max(1, max_pairs // len(acting))]:
+            k, si, j, x = s
+            lhs = _kron3(a_words[ai] @ eta_pows[k] @ a_words[si], w_pows[k + j], units[x])
+            rhs = _kron3(a_words[ai], ident, eye_m) @ image_matrix(s)
+            module_res = max(module_res, operator_norm(lhs - rhs))
+
+    span_dims = []
+    for root_pows, twist in ((xi_pows, 0), (eta_pows, 1)):
+        roots = np.matmul(np.array(root_pows[:n])[:, None], a_words[None])
+        twists = np.array([w_pows[twist * k : twist * k + n] for k in range(n)])
+        legs = np.einsum("kaxy,kjzw->kajxyzw", roots, twists).reshape(n * len(a_words) * n, -1)
+        legs_basis = Orthonormalizer(len(legs), legs.shape[1], RANK_TOL)
+        span_dims.append(int(legs_basis.extend(legs).sum()) * m * m)
+    return {
+        "multiplicativity_residual": mult_res,
+        "adjoint_residual": adj_res,
+        "module_residual": module_res,
+        "word_calculus_residual": calc_res,
+        "domain_span_dim": span_dims[0],
+        "image_span_dim": span_dims[1],
+        "word_count": len(words),
+        "pair_count": len(pairs),
+    }
 
 
 class TestGenerateSpan:
@@ -212,6 +334,52 @@ class TestAmplificationIso:
         a = amplification_iso_check([], u, xi, eta, 2, 3, seed=5)
         b = amplification_iso_check([], u, xi, eta, 2, 3, seed=5)
         assert a == b
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.integers(2, 4),
+        m=st.integers(1, 3),
+        n=st.sampled_from([2, 3]),
+        L=st.integers(1, 3),
+        noncommuting=st.booleans(),
+        random_root=st.booleans(),
+        max_pairs=st.sampled_from([7, 60, 200]),
+    )
+    @example(seed=1, q=3, m=1, n=3, L=1, noncommuting=False, random_root=False, max_pairs=800)
+    @example(seed=2, q=4, m=3, n=3, L=3, noncommuting=True, random_root=False, max_pairs=60)
+    @example(seed=3, q=4, m=2, n=2, L=2, noncommuting=True, random_root=True, max_pairs=60)
+    def test_matches_brute_force_oracle(
+        self, seed, q, m, n, L, noncommuting, random_root, max_pairs
+    ):
+        rng = np.random.default_rng(seed)
+        rep = clock_shift(TorusParams(1, q))
+        u = random_unitary(q, rng) if random_root else rep.U
+        base = [rep.V] if noncommuting else []
+        xi, eta = BranchFunction.random(n, rng), BranchFunction.random(n, rng)
+        iso = amplification_iso_check(base, u, xi, eta, m, L, seed=seed, max_pairs=max_pairs)
+        oracle = amplification_iso_oracle(base, u, xi, eta, m, L, seed=seed, max_pairs=max_pairs)
+        for key, expected in oracle.items():
+            if key.endswith("_residual"):
+                assert abs(getattr(iso, key) - expected) <= 1e-12, key
+            else:
+                assert getattr(iso, key) == expected, key
+
+    def test_amplified_working_set(self):
+        # (q, m, L, n) = (12, 4, 4, 2): the three-leg words are 576 x 576, and
+        # a stack of every pair's residuals would hold hundreds of MiB.
+        u = clock_matrix(1, 12)
+        xi = BranchFunction.principal(2)
+        eta = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
+        tracemalloc.start()
+        try:
+            iso = amplification_iso_check([], u, xi, eta, 4, 4, seed=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert iso.pair_count == 200
+        assert iso.span_dims_equal
 
     def test_rejects_unequal_orders(self):
         with pytest.raises(ValueError, match="orders differ"):

@@ -21,8 +21,9 @@ from nclab import (
     random_unitary,
     shift_matrix,
 )
+from nclab.operators import SVD_BLOCK
 from nclab.roots import TOL_ROOT
-from nclab.towers import MAX_TOWER_DEPTH, SVD_BLOCK
+from nclab.towers import MAX_TOWER_DEPTH
 
 PRINCIPAL = BranchFunction.principal(2)
 
