@@ -1,8 +1,8 @@
 """Configuration-driven experiment runner.
 
-Reads a JSON experiment config, dispatches to the library constructions,
-and emits a machine-readable residual report (json), a flat table (csv), or
-a human summary (text).  Exit code 0 means every configured check passed,
+Reads a JSON experiment config, validates every experiment before the first
+runs, and emits a machine-readable residual report (json), a flat table
+(csv), or a human summary (text).  Exit code 0 means every configured check passed,
 1 means some numerical check failed, 2 a config/schema problem, 3 an
 unwritable output destination.
 """
@@ -15,13 +15,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .roots import TOL_ROOT, BranchFunction
-from .spans import amplification_iso_check, generate_span
+from .spans import MAX_BASE_WORDS, WORD_BUDGET, amplification_iso_check, generate_span
 from .torus import (
     TOL_TORUS,
     TorusParams,
@@ -41,26 +42,16 @@ from .towers import (
 DEFAULT_MAX_DIM = 128
 # A span basis holds q**4 complex128 entries (16 * q**4 bytes); 256 MiB admits q <= 64.
 MAX_SPAN_BASIS_BYTES = 256 * 2**20
-
-KINDS = ("tower", "torus", "theta_tower", "span", "lemma_iso", "anticommute_demo")
-
-DEFAULT_CHECKS = {
-    "anticommute_demo": {"square_residual": 0.0, "anticommute_residual": 0.0},
-    "torus": {
-        "relation_residual": TOL_TORUS,
-        "clock_order_residual": TOL_TORUS,
-        "shift_order_residual": TOL_TORUS,
-    },
-    "theta_tower": {"max_image_relation_residual": 1e-9},
-    "tower": {"max_squaring_residual": TOL_ROOT, "max_level_independence": TOL_EMBED},
-    "span": {"span_dim_error": 0.0, "max_generator_membership": 1e-10},
-    "lemma_iso": {
-        "multiplicativity_residual": 1e-8,
-        "adjoint_residual": 1e-8,
-        "module_residual": 1e-8,
-        "span_dim_mismatch": 0.0,
-    },
-}
+# A lemma_iso check peaks near 4.3 times its n*n*|a| leg rows of q**4 complex128
+# entries (tracemalloc: 291 MiB at q=20); four times the rows must fit
+# MAX_SPAN_BASIS_BYTES, which admits q <= 19 at n=2, word_cap=3.
+ISO_PEAK_FACTOR = 4
+TORUS_RESIDUALS = ("relation_residual", "clock_order_residual", "shift_order_residual")
+# Residual fields of ThetaHalvingReport and AmplificationIsoReport, reported by name.
+STEP_RESIDUALS = ("target_relation_residual", "image_relation_residual",
+                  "image_clock_order_residual", "image_shift_order_residual")
+ISO_RESIDUALS = ("multiplicativity_residual", "adjoint_residual", "module_residual",
+                 "word_calculus_residual", "correction_order_residual")
 
 
 class ConfigError(ValueError):
@@ -69,11 +60,16 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """A validated experiment; ``compute()`` returns the values of
+    ``residuals``, in that order, and the report details."""
+
     kind: str
+    name: str
     parameters: dict
-    name: str = ""
-    checks: dict = field(default_factory=dict)
-    seed: int = 0
+    checks: dict
+    seed: int
+    residuals: tuple
+    compute: Callable
 
 
 def _read(obj: dict, key: str, where: str, default=None, integer=False, low=None, high=None):
@@ -96,43 +92,6 @@ def _read(obj: dict, key: str, where: str, default=None, integer=False, low=None
     return value
 
 
-def parse_experiment(obj: dict, index: int, seed: int) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"experiment {index} must be an object")
-    kind = obj.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"experiment {index}: unknown kind {kind!r}; expected one of {KINDS}")
-    params = obj.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"experiment {index}: 'parameters' must be an object")
-    checks = dict(DEFAULT_CHECKS[kind])
-    user_checks = obj.get("checks", {})
-    if not isinstance(user_checks, dict):
-        raise ConfigError(f"experiment {index}: 'checks' must be an object")
-    checks.update({k: _read(user_checks, k, f"experiment {index} checks") for k in user_checks})
-    name = str(obj.get("name", f"{kind}-{index}"))
-    return ExperimentConfig(kind=kind, parameters=params, name=name, checks=checks, seed=seed)
-
-
-def parse_config(data, seed_override: int | None = None) -> tuple[list[ExperimentConfig], int]:
-    """Accept a single experiment object, a list, or {"seed", "experiments"}."""
-    if isinstance(data, list):
-        data = {"experiments": data}
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object or list")
-    if "experiments" in data:
-        experiments = data["experiments"]
-        if not isinstance(experiments, list) or not experiments:
-            raise ConfigError("'experiments' must be a non-empty list")
-    elif "kind" in data:
-        experiments = [data]
-    else:
-        raise ConfigError("config needs 'experiments' or a top-level 'kind'")
-    source = data if seed_override is None else {"seed": seed_override}
-    seed = _read(source, "seed", "config", 0, integer=True, low=0)
-    return [parse_experiment(e, i, seed) for i, e in enumerate(experiments)], seed
-
-
 def _torus_params(params: dict, kind: str, max_dim: int) -> TorusParams:
     p = _read(params, "p", f"experiment kind '{kind}'", integer=True)
     q = _read(params, "q", f"experiment kind '{kind}'", integer=True, low=1)
@@ -141,27 +100,21 @@ def _torus_params(params: dict, kind: str, max_dim: int) -> TorusParams:
     return TorusParams(p, q)
 
 
-def _span_params(params: dict, max_dim: int) -> TorusParams:
-    """Torus parameters of a span experiment whose basis fits the memory limit."""
-    torus = _torus_params(params, "span", max_dim)
-    if 16 * torus.q**4 > MAX_SPAN_BASIS_BYTES:
-        limit = MAX_SPAN_BASIS_BYTES >> 20
-        raise ConfigError(f"span: a basis at q={torus.q} exceeds the {limit} MiB limit")
-    return torus
-
-
 def _branches_from_params(params: dict, depth: int) -> BranchFunction | list[BranchFunction]:
     choice = params.get("branches", "principal")
     if choice == "principal":
         return BranchFunction.principal(2)
-    if isinstance(choice, list):
-        if len(choice) != depth:
-            raise ConfigError(f"tower: need {depth} branches, got {len(choice)}")
-        try:
-            return [BranchFunction.from_json(b) for b in choice]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"tower: bad branch data: {exc}") from exc
-    raise ConfigError("tower: 'branches' must be \"principal\" or a list of branch objects")
+    if not isinstance(choice, list):
+        raise ConfigError("tower: 'branches' must be \"principal\" or a list of branch objects")
+    if len(choice) != depth:
+        raise ConfigError(f"tower: need {depth} branches, got {len(choice)}")
+    try:
+        branches = [BranchFunction.from_json(b) for b in choice]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"tower: bad branch data: {exc}") from exc
+    if any(b.n != 2 for b in branches):
+        raise ConfigError("tower: every branch must be a square-root branch (n = 2)")
+    return branches
 
 
 def _functions_from_params(params: dict) -> list[CompactFunction]:
@@ -203,89 +156,98 @@ def _level_pairs_from_params(params: dict, min_level: int, depth: int) -> list[t
     return [(a, b) for a, b in choice]
 
 
-def _run_anticommute(cfg: ExperimentConfig, max_dim: int):
-    witness = anticommuting_root_example()
-    residuals = {
-        "square_residual": witness.square_residual,
-        "anticommute_residual": witness.anticommute_residual,
-    }
-    return residuals, {"dim": 2}
+# A reader takes (parameters, seed, max_dim), raises ConfigError for any input
+# the computation would reject, and returns the residual names and the
+# computation, which yields their values in order and the details.
 
 
-def _run_torus(cfg: ExperimentConfig, max_dim: int):
-    params = _torus_params(cfg.parameters, "torus", max_dim)
-    rep = clock_shift(params, tol=np.inf)
-    residuals = {
-        "relation_residual": rep.commutation_residual,
-        "clock_order_residual": rep.clock_order_residual,
-        "shift_order_residual": rep.shift_order_residual,
-    }
-    return residuals, {"theta": params.theta, "dim": params.q}
+def _read_anticommute(params: dict, seed: int, max_dim: int):
+    def compute():
+        witness = anticommuting_root_example()
+        return [witness.square_residual, witness.anticommute_residual], {"dim": 2}
+
+    return ("square_residual", "anticommute_residual"), compute
 
 
-def _run_theta_tower(cfg: ExperimentConfig, max_dim: int):
-    params = _torus_params(cfg.parameters, "theta_tower", max_dim)
-    steps = _read(cfg.parameters, "steps", "theta_tower", 3, integer=True, low=1)
-    try:
-        reports = iterate_theta_halving(params, steps, max_dim=max_dim, tol=np.inf)
-    except ValueError as exc:
-        raise ConfigError(f"theta_tower: {exc}") from exc
-    residuals = {}
-    for i, rep in enumerate(reports):
-        residuals[f"step{i}_target_relation_residual"] = rep.target_relation_residual
-        residuals[f"step{i}_image_relation_residual"] = rep.image_relation_residual
-        residuals[f"step{i}_image_clock_order_residual"] = rep.image_clock_order_residual
-        residuals[f"step{i}_image_shift_order_residual"] = rep.image_shift_order_residual
-    residuals["max_image_relation_residual"] = max(
-        r.image_relation_residual for r in reports
-    )
-    visited = [reports[0].source] + [r.target for r in reports]
-    details = {
-        "theta_sequence": [f"{t.p}/{t.q}" for t in visited],
-        "dims": [t.q for t in visited],
-    }
-    return residuals, details
+def _read_torus(params: dict, seed: int, max_dim: int):
+    torus = _torus_params(params, "torus", max_dim)
+
+    def compute():
+        rep = clock_shift(torus, tol=np.inf)
+        values = [rep.commutation_residual, rep.clock_order_residual, rep.shift_order_residual]
+        return values, {"theta": torus.theta, "dim": torus.q}
+
+    return TORUS_RESIDUALS, compute
 
 
-def _run_tower(cfg: ExperimentConfig, max_dim: int):
-    params = _torus_params(cfg.parameters, "tower", max_dim)
-    depth = _read(cfg.parameters, "depth", "tower", 3, integer=True, low=1, high=MAX_TOWER_DEPTH)
-    branches = _branches_from_params(cfg.parameters, depth)
-    functions = _functions_from_params(cfg.parameters)
-    try:
-        tower = build_tower(clock_matrix(params.p, params.q), depth, branches, tol_root=np.inf)
-    except ValueError as exc:
-        raise ConfigError(f"tower: {exc}") from exc
+def _read_theta_tower(params: dict, seed: int, max_dim: int):
+    torus = _torus_params(params, "theta_tower", max_dim)
+    steps = _read(params, "steps", "theta_tower", 3, integer=True, low=1)
+    if torus.q == 1:
+        # An integer theta is the commutative torus, and theta = 0 halves to
+        # 0/1 at dimension 1 forever, which no dimension guard stops.
+        raise ConfigError("theta_tower: p must not be a multiple of q")
+    target = torus
+    for _ in range(steps):
+        target = target.halved()
+        if target.q > max_dim:
+            raise ConfigError(f"theta_tower: dimension {target.q} exceeds the maximum {max_dim}")
+
+    def compute():
+        reports = iterate_theta_halving(torus, steps, max_dim=max_dim, tol=np.inf)
+        values = [getattr(rep, name) for rep in reports for name in STEP_RESIDUALS]
+        values.append(max(r.image_relation_residual for r in reports))
+        visited = [torus] + [r.target for r in reports]
+        sequence = [f"{t.p}/{t.q}" for t in visited]
+        return values, {"theta_sequence": sequence, "dims": [t.q for t in visited]}
+
+    names = [f"step{i}_{name}" for i in range(steps) for name in STEP_RESIDUALS]
+    return (*names, "max_image_relation_residual"), compute
+
+
+def _read_tower(params: dict, seed: int, max_dim: int):
+    torus = _torus_params(params, "tower", max_dim)
+    depth = _read(params, "depth", "tower", 3, integer=True, low=1, high=MAX_TOWER_DEPTH)
+    branches = _branches_from_params(params, depth)
+    functions = _functions_from_params(params)
     min_level = max(f.support_exponent for f in functions)
-    pairs = _level_pairs_from_params(cfg.parameters, min_level, depth)
-    max_indep = max(max_level_independence(tower, f, pairs) for f in functions)
-    residuals = {
-        "max_squaring_residual": max(tower.residuals),
-        "max_level_independence": max_indep,
-    }
-    details = {"dim": params.q, "depth": depth, "functions": len(functions), "pairs": len(pairs)}
-    return residuals, details
+    pairs = _level_pairs_from_params(params, min_level, depth)
+
+    def compute():
+        tower = build_tower(clock_matrix(torus.p, torus.q), depth, branches, tol_root=np.inf)
+        max_indep = max(max_level_independence(tower, f, pairs) for f in functions)
+        details = {"dim": torus.q, "depth": depth, "functions": len(functions), "pairs": len(pairs)}
+        return [max(tower.residuals), max_indep], details
+
+    return ("max_squaring_residual", "max_level_independence"), compute
 
 
-def _run_span(cfg: ExperimentConfig, max_dim: int):
-    params = _span_params(cfg.parameters, max_dim)
-    word_cap = _read(cfg.parameters, "word_cap", "span", 2, integer=True, low=1)
-    rep = clock_shift(params)
-    span = generate_span([rep.U, rep.V], word_cap)
-    report = span.report()
-    expected = _read(cfg.parameters, "expected_span_dim", "span", span.span_dim, True, low=0)
-    residuals = {
-        "max_generator_membership": report["residual_summary"]["max_generator_membership"],
-        "orthonormality_defect": report["residual_summary"]["max_basis_orthonormality_defect"],
-        "span_dim_error": float(abs(span.span_dim - expected)),
-    }
-    details = {"span_dim": span.span_dim, "word_cap": word_cap, "dim": params.q}
-    return residuals, details
+def _read_span(params: dict, seed: int, max_dim: int):
+    torus = _torus_params(params, "span", max_dim)
+    if 16 * torus.q**4 > MAX_SPAN_BASIS_BYTES:
+        limit = MAX_SPAN_BASIS_BYTES >> 20
+        raise ConfigError(f"span: a basis at q={torus.q} exceeds the {limit} MiB limit")
+    word_cap = _read(params, "word_cap", "span", 2, integer=True, low=1)
+    expected = None
+    if "expected_span_dim" in params:
+        expected = _read(params, "expected_span_dim", "span", integer=True, low=0)
+
+    def compute():
+        rep = clock_shift(torus)
+        span = generate_span([rep.U, rep.V], word_cap)
+        summary = span.report()["residual_summary"]
+        values = [
+            summary["max_generator_membership"],
+            summary["max_basis_orthonormality_defect"],
+            0 if expected is None else abs(span.span_dim - expected),
+        ]
+        return values, {"span_dim": span.span_dim, "word_cap": word_cap, "dim": torus.q}
+
+    return ("max_generator_membership", "orthonormality_defect", "span_dim_error"), compute
 
 
-def _run_lemma_iso(cfg: ExperimentConfig, max_dim: int):
-    torus = _torus_params(cfg.parameters, "lemma_iso", max_dim)
-    params = cfg.parameters
+def _read_lemma_iso(params: dict, seed: int, max_dim: int):
+    torus = _torus_params(params, "lemma_iso", max_dim)
     n = _read(params, "n", "lemma_iso", 2, integer=True, low=1)
     m = _read(params, "m", "lemma_iso", 2, integer=True, low=1)
     word_cap = _read(params, "word_cap", "lemma_iso", 3, integer=True, low=1)
@@ -297,55 +259,108 @@ def _run_lemma_iso(cfg: ExperimentConfig, max_dim: int):
         eta = BranchFunction.with_flipped_arc(n, flip_start, flip_end, flip_k)
     except ValueError as exc:
         raise ConfigError(f"lemma_iso: {exc}") from exc
-    u = clock_matrix(torus.p, torus.q)
-    iso = amplification_iso_check([], u, xi, eta, m, word_cap, seed=cfg.seed)
-    residuals = {
-        "multiplicativity_residual": iso.multiplicativity_residual,
-        "adjoint_residual": iso.adjoint_residual,
-        "module_residual": iso.module_residual,
-        "word_calculus_residual": iso.word_calculus_residual,
-        "correction_order_residual": iso.correction_order_residual,
-        "span_dim_mismatch": float(abs(iso.domain_span_dim - iso.image_span_dim)),
-    }
-    details = {
-        "domain_span_dim": iso.domain_span_dim,
-        "image_span_dim": iso.image_span_dim,
-        "word_count": iso.word_count,
-        "pair_count": iso.pair_count,
-    }
-    return residuals, details
+    # The base words are powers u**k with |k| <= word_cap, at most q of them independent.
+    base_words = min(2 * word_cap + 1, torus.q, MAX_BASE_WORDS)
+    if ISO_PEAK_FACTOR * 16 * n * n * base_words * torus.q**4 > MAX_SPAN_BASIS_BYTES:
+        limit = MAX_SPAN_BASIS_BYTES >> 20
+        raise ConfigError(f"lemma_iso: span rows at q={torus.q}, n={n} exceed {limit} MiB")
+    if n * n * base_words * m * m > WORD_BUDGET:
+        raise ConfigError(f"lemma_iso: n={n}, m={m} give over {WORD_BUDGET} amplified words")
+
+    def compute():
+        u = clock_matrix(torus.p, torus.q)
+        iso = amplification_iso_check([], u, xi, eta, m, word_cap, seed=seed)
+        values = [getattr(iso, name) for name in ISO_RESIDUALS]
+        values.append(abs(iso.domain_span_dim - iso.image_span_dim))
+        counts = ("domain_span_dim", "image_span_dim", "word_count", "pair_count")
+        return values, {k: getattr(iso, k) for k in counts}
+
+    return (*ISO_RESIDUALS, "span_dim_mismatch"), compute
 
 
-_RUNNERS = {
-    "anticommute_demo": _run_anticommute,
-    "torus": _run_torus,
-    "theta_tower": _run_theta_tower,
-    "tower": _run_tower,
-    "span": _run_span,
-    "lemma_iso": _run_lemma_iso,
+class Kind(NamedTuple):
+    """An experiment kind: its default checks and its reader."""
+
+    checks: dict
+    read: Callable
+
+
+KINDS = {
+    "tower": Kind(
+        {"max_squaring_residual": TOL_ROOT, "max_level_independence": TOL_EMBED}, _read_tower
+    ),
+    "torus": Kind(dict.fromkeys(TORUS_RESIDUALS, TOL_TORUS), _read_torus),
+    "theta_tower": Kind({"max_image_relation_residual": 1e-9}, _read_theta_tower),
+    "span": Kind({"span_dim_error": 0.0, "max_generator_membership": 1e-10}, _read_span),
+    "lemma_iso": Kind(
+        {**dict.fromkeys(ISO_RESIDUALS[:3], 1e-8), "span_dim_mismatch": 0.0}, _read_lemma_iso
+    ),
+    "anticommute_demo": Kind(
+        {"square_residual": 0.0, "anticommute_residual": 0.0}, _read_anticommute
+    ),
 }
 
 
-def run_experiment(cfg: ExperimentConfig, max_dim: int = DEFAULT_MAX_DIM) -> dict:
-    """Execute one experiment and return its report entry."""
-    start = time.perf_counter()
-    residuals, details = _RUNNERS[cfg.kind](cfg, max_dim)
-    residuals = {k: float(v) for k, v in residuals.items()}
-    checks = []
-    for name, threshold in cfg.checks.items():
-        if name not in residuals:
-            raise ConfigError(
-                f"experiment '{cfg.name}': check '{name}' does not match any residual "
-                f"(available: {sorted(residuals)})"
-            )
-        checks.append(
-            {
-                "name": name,
-                "value": residuals[name],
-                "threshold": threshold,
-                "pass": residuals[name] <= threshold,
-            }
+def parse_experiment(obj: dict, index: int, seed: int, max_dim: int) -> ExperimentConfig:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"experiment {index} must be an object")
+    kind = obj.get("kind")
+    if kind not in KINDS:
+        kinds = tuple(KINDS)
+        raise ConfigError(f"experiment {index}: unknown kind {kind!r}; expected one of {kinds}")
+    params = obj.get("parameters", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"experiment {index}: 'parameters' must be an object")
+    user_checks = obj.get("checks", {})
+    if not isinstance(user_checks, dict):
+        raise ConfigError(f"experiment {index}: 'checks' must be an object")
+    try:
+        residuals, compute = KINDS[kind].read(params, seed, max_dim)
+    except ConfigError as exc:
+        raise ConfigError(f"experiment {index}: {exc}") from exc
+    checks = dict(KINDS[kind].checks)
+    checks.update({k: _read(user_checks, k, f"experiment {index} checks") for k in user_checks})
+    unknown = [k for k in checks if k not in residuals]
+    if unknown:
+        raise ConfigError(
+            f"experiment {index}: check '{unknown[0]}' does not match any residual "
+            f"(available: {sorted(residuals)})"
         )
+    name = str(obj.get("name", f"{kind}-{index}"))
+    return ExperimentConfig(kind, name, params, checks, seed, residuals, compute)
+
+
+def parse_config(
+    data, seed_override: int | None = None, max_dim: int = DEFAULT_MAX_DIM
+) -> tuple[list[ExperimentConfig], int]:
+    """Accept a single experiment object, a list, or {"seed", "experiments"};
+    every experiment is validated before any of them runs."""
+    if isinstance(data, list):
+        data = {"experiments": data}
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object or list")
+    if "experiments" in data:
+        experiments = data["experiments"]
+        if not isinstance(experiments, list) or not experiments:
+            raise ConfigError("'experiments' must be a non-empty list")
+    elif "kind" in data:
+        experiments = [data]
+    else:
+        raise ConfigError("config needs 'experiments' or a top-level 'kind'")
+    source = data if seed_override is None else {"seed": seed_override}
+    seed = _read(source, "seed", "config", 0, integer=True, low=0)
+    return [parse_experiment(e, i, seed, max_dim) for i, e in enumerate(experiments)], seed
+
+
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Execute one parsed experiment and return its report entry."""
+    start = time.perf_counter()
+    values, details = cfg.compute()
+    residuals = {k: float(v) for k, v in zip(cfg.residuals, values, strict=True)}
+    checks = [
+        {"name": k, "value": residuals[k], "threshold": t, "pass": residuals[k] <= t}
+        for k, t in cfg.checks.items()
+    ]
     return {
         "kind": cfg.kind,
         "name": cfg.name,
@@ -361,9 +376,9 @@ def run_experiment(cfg: ExperimentConfig, max_dim: int = DEFAULT_MAX_DIM) -> dic
 
 def run_config(data, seed_override: int | None = None, max_dim: int = DEFAULT_MAX_DIM) -> dict:
     """Run every experiment in a parsed config; reports follow config order."""
-    configs, seed = parse_config(data, seed_override)
+    configs, seed = parse_config(data, seed_override, max_dim)
     start = time.perf_counter()
-    reports = [run_experiment(c, max_dim) for c in configs]
+    reports = [run_experiment(c) for c in configs]
     return {
         "library_version": __version__,
         "seed": seed,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-# Default tolerances.  Callers may override per operation.
+# Tolerances of the spectral calculus.
 TOL_UNITARY = 1e-10
 TOL_SPECTRAL = 1e-8
 CLUSTER_GAP = 1e-8
@@ -24,8 +24,7 @@ SVD_BLOCK = 16
 
 TWO_PI = 2.0 * np.pi
 # Eigenangles within 4 ulps of the cut at +-pi are eigenvalue -1, which Schur
-# places up to 1 ulp to either side; they become +pi.  Angles farther off come
-# from entries that are themselves not -1 (compounded clock phases) and stay.
+# places up to 1 ulp to either side; they become +pi.
 CUT_WINDOW = 4 * np.spacing(np.pi)
 
 
@@ -153,14 +152,6 @@ class SpectralDecomposition:
         """V diag(e^{i angle}) V†, the unitary this decomposition represents."""
         return (self.vectors * self.eigenvalues()) @ self.vectors.conj().T
 
-    def cluster_projections(self) -> list[np.ndarray]:
-        """Orthogonal projections onto the degeneracy eigenspaces."""
-        out = []
-        for idx in self.clusters:
-            vc = self.vectors[:, idx]
-            out.append(vc @ vc.conj().T)
-        return out
-
 
 class Orthonormalizer:
     """Orthonormal complex rows, grown block by block in a preallocated
@@ -231,21 +222,16 @@ def _canonical_cluster_basis(vectors: np.ndarray, clusters: list[list[int]]) -> 
     return out
 
 
-def spectral_decompose(
-    u,
-    cluster_gap: float = CLUSTER_GAP,
-    tol_unitary: float = TOL_UNITARY,
-    tol_spectral: float = TOL_SPECTRAL,
-) -> SpectralDecomposition:
+def spectral_decompose(u) -> SpectralDecomposition:
     """Orthonormal eigendecomposition of a unitary.
 
     Uses the complex Schur form (diagonal for normal matrices) so the
     eigenbasis is orthonormal by construction, then sorts angles ascending
     and canonicalizes the basis within each degeneracy cluster against the
     standard basis.  Rejects inputs whose unitarity defect exceeds
-    ``tol_unitary``; the output reproduces the input within ``tol_spectral``.
+    ``TOL_UNITARY``; the output reproduces the input within ``TOL_SPECTRAL``.
     """
-    u = require_unitary(u, tol_unitary)
+    u = require_unitary(u)
     t, z = la.schur(u, output="complex")
     eig = np.diag(t)
     eig = eig / np.abs(eig)
@@ -253,13 +239,13 @@ def spectral_decompose(
     order = np.argsort(angles, kind="stable")
     angles = angles[order]
     vectors = z[:, order]
-    clusters = _cluster_indices(angles, cluster_gap)
+    clusters = _cluster_indices(angles, CLUSTER_GAP)
     vectors = _canonical_cluster_basis(vectors, clusters)
     dec = SpectralDecomposition(angles=angles, vectors=vectors, clusters=clusters)
     residual = operator_norm(dec.reconstruct() - u)
-    if residual > tol_spectral:
+    if residual > TOL_SPECTRAL:
         raise ArithmeticError(
-            f"spectral reconstruction residual {residual:.3e} exceeds {tol_spectral:.3e}"
+            f"spectral reconstruction residual {residual:.3e} exceeds {TOL_SPECTRAL:.3e}"
         )
     return dec
 

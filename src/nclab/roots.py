@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    CLUSTER_GAP,
     TWO_PI,
     SpectralDecomposition,
     apply_circle_function,
@@ -170,21 +169,19 @@ def general_root_search(
     u,
     n: int,
     mixers: dict[int, np.ndarray] | None = None,
-    cluster_gap: float = CLUSTER_GAP,
-    tol: float = TOL_ROOT,
 ) -> np.ndarray:
     """n-th root of ``u`` with prescribed unitary blocks on degeneracy clusters.
 
     ``mixers`` maps cluster indices (ascending-angle order of the
     decomposition of ``u``) to unitary blocks; block ``M`` on a cluster with
-    eigenvalue ``lam`` must satisfy M**n = lam * I within ``tol``.  Clusters
+    eigenvalue ``lam`` must satisfy M**n = lam * I within ``TOL_ROOT``.  Clusters
     without a mixer get the principal scalar root.  A non-scalar mixer
     produces a root lying outside the circle functions of ``u``.
     """
     if n < 1:
         raise ValueError("root order must be positive")
     mixers = dict(mixers or {})
-    dec = spectral_decompose(u, cluster_gap=cluster_gap)
+    dec = spectral_decompose(u)
     unknown = set(mixers) - set(range(len(dec.clusters)))
     if unknown:
         raise ValueError(f"mixer refers to unknown clusters {sorted(unknown)}")
@@ -202,7 +199,7 @@ def general_root_search(
                 )
             power = np.linalg.matrix_power(block, n)
             defect = operator_norm(power - lam * np.eye(len(idx)))
-            if defect > tol:
+            if defect > TOL_ROOT:
                 raise ValueError(
                     f"mixer for cluster {c}: n-th power deviates from the required "
                     f"scalar block by {defect:.3e}"

@@ -33,6 +33,8 @@ from .roots import BranchFunction, correction_unitary, nth_root_branch
 
 RANK_TOL = 1e-8
 WORD_BUDGET = 200_000
+# Capacity of the base-word basis of amplification_iso_check.
+MAX_BASE_WORDS = 24
 # Rows of the basis Gram matrix formed at a time by the orthonormality check.
 GRAM_BLOCK_ROWS = 32
 
@@ -101,7 +103,6 @@ def _word_levels(alphabet, word_cap: int, basis: Orthonormalizer, word_budget: i
 def generate_span(
     generators,
     word_cap: int,
-    rank_tol: float = RANK_TOL,
     word_budget: int = WORD_BUDGET,
 ) -> GeneratedAlgebraSpan:
     """Span of all words of length <= ``word_cap`` over generators, their
@@ -110,7 +111,7 @@ def generate_span(
     The words are those the breadth-first search reaches, in deterministic
     order: generators in the given order, then their adjoints.  One
     orthonormalizer of capacity dim**2 keeps each word that is independent
-    of the words before it (remainder norm at least ``rank_tol``).  Raises
+    of the words before it (remainder norm at least ``RANK_TOL``).  Raises
     ``ValueError`` once more than ``word_budget`` candidate words are formed.
     """
     generators = [as_operator(g) for g in generators]
@@ -124,7 +125,7 @@ def generate_span(
         raise ValueError("word cap must be at least 1")
 
     alphabet = generators + [g.conj().T for g in generators]
-    basis = Orthonormalizer(dim * dim, dim * dim, rank_tol)
+    basis = Orthonormalizer(dim * dim, dim * dim, RANK_TOL)
     for _ in _word_levels(alphabet, word_cap, basis, word_budget):
         pass
 
@@ -223,8 +224,6 @@ def amplification_iso_check(
     m: int,
     L: int,
     seed: int = 0,
-    rank_tol: float = RANK_TOL,
-    max_a_words: int = 24,
     max_pairs: int = 200,
 ) -> AmplificationIsoReport:
     """Check the amplified isomorphism induced by swapping two root branches.
@@ -286,7 +285,7 @@ def amplification_iso_check(
         if g.shape[0] != dim:
             raise ValueError("base generators must share the root unitary's dimension")
     alphabet = base + [u] + [g.conj().T for g in base] + [u.conj().T]
-    word_basis = Orthonormalizer(max_a_words, dim * dim, rank_tol)
+    word_basis = Orthonormalizer(MAX_BASE_WORDS, dim * dim, RANK_TOL)
     a_words = np.concatenate(list(_word_levels(alphabet, L, word_basis, WORD_BUDGET)))
 
     words = [(k, a, j, x) for k in range(n) for a in a_words for j in range(n) for x in range(m**2)]
@@ -341,7 +340,7 @@ def amplification_iso_check(
     span_dims = []
     for root_pows, twist in ((xi_pows, 0), (eta_pows, 1)):
         legs = [word(root_pows, twist, k, a, j).ravel() for k, a, j, x in words if x == 0]
-        legs_basis = Orthonormalizer(len(legs), dim**4, rank_tol)
+        legs_basis = Orthonormalizer(len(legs), dim**4, RANK_TOL)
         span_dims.append(int(legs_basis.extend(legs).sum()) * m * m)
     dom_dim, img_dim = span_dims
 

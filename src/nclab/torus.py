@@ -64,9 +64,10 @@ class TorusRep:
 
 
 def clock_matrix(p: int, q: int) -> np.ndarray:
-    """diag(1, w, w^2, ...) with w = e^{2 pi i p/q}."""
-    omega = np.exp(2j * np.pi * p / q)
-    return np.diag(omega ** np.arange(q)).astype(complex)
+    """diag(1, w, w^2, ...) with w = e^{2 pi i p/q}.  Entry k takes its phase
+    from the exact fraction ((p k) mod q) / q, so rounding does not compound
+    along the diagonal and an entry -1 has angle exactly pi."""
+    return np.diag(np.exp(2j * np.pi * ((p % q) * np.arange(q) % q / q)))
 
 
 def shift_matrix(q: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from nclab.cli import (
     KINDS,
     MAX_SPAN_BASIS_BYTES,
     ConfigError,
-    _span_params,
     emit_report,
     main,
     parse_config,
@@ -26,6 +25,7 @@ from nclab.cli import (
     run_config,
     run_experiment,
 )
+from nclab.spans import WORD_BUDGET
 from nclab.towers import MAX_TOWER_DEPTH
 
 FLIPPED_BRANCH = {
@@ -66,6 +66,46 @@ MALFORMED = {
         "parameters": {**TORUS, "functions": {"hat_family": {"count": 0}}},
     },
     "no functions": {"kind": "tower", "parameters": {**TORUS, "functions": []}},
+    "cube-root tower branch": {
+        "kind": "tower",
+        "parameters": {**TORUS, "depth": 1, "branches": [{**PRINCIPAL_BRANCH, "n": 3}]},
+    },
+    "theta zero": {"kind": "theta_tower", "parameters": {"p": 0, "q": 3, "steps": 1000}},
+    "integer theta": {"kind": "theta_tower", "parameters": {"p": 6, "q": 3}},
+}
+
+# A tower at the documented depth and dimension limits: seconds of work that a
+# bad experiment after it must not cost.
+DEEP_TOWER = {
+    "kind": "tower",
+    "parameters": {
+        "p": 3,
+        "q": 128,
+        "depth": MAX_TOWER_DEPTH,
+        "functions": {"hat_family": {"count": 5}},
+        "level_pairs": "all",
+    },
+}
+LATE_ERRORS = {
+    "malformed parameter": ({"kind": "torus", "parameters": {"p": "x", "q": 3}}, "finite number"),
+    "unknown check": (
+        {"kind": "torus", "parameters": TORUS, "checks": {"nope": 1.0}},
+        "does not match",
+    ),
+    "theta past max_dim": (
+        {"kind": "theta_tower", "parameters": {"p": 1, "q": 3, "steps": 6}},
+        "exceeds the maximum 128",
+    ),
+}
+
+# Small parameters for each kind.
+SMALL = {
+    "tower": {"p": 1, "q": 4, "depth": 2},
+    "torus": TORUS,
+    "theta_tower": {**TORUS, "steps": 2},
+    "span": {"p": 1, "q": 2},
+    "lemma_iso": {"p": 1, "q": 2, "m": 1, "word_cap": 1},
+    "anticommute_demo": {},
 }
 
 _SCALARS = st.one_of(
@@ -195,34 +235,39 @@ class TestRunExperiment:
         assert report["details"]["domain_span_dim"] == report["details"]["image_span_dim"]
 
     def test_unknown_check_name(self):
-        configs, _ = parse_config(
-            {"kind": "torus", "parameters": {"p": 1, "q": 2}, "checks": {"nope": 1.0}}
-        )
         with pytest.raises(ConfigError, match="does not match"):
-            run_experiment(configs[0])
+            parse_config({"kind": "torus", "parameters": {"p": 1, "q": 2}, "checks": {"nope": 1.0}})
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_default_checks_name_reported_residuals(self, kind):
+        (cfg,), _ = parse_config({"kind": kind, "parameters": SMALL[kind]})
+        assert set(KINDS[kind].checks) <= set(run_experiment(cfg)["residuals"])
+
+    def test_theta_step_checks_follow_steps(self):
+        report = self._run(
+            "theta_tower", {**TORUS, "steps": 2}, checks={"step1_image_relation_residual": 1e-9}
+        )
+        assert [c["name"] for c in report["checks"]][-1] == "step1_image_relation_residual"
+        assert report["pass"]
+        with pytest.raises(ConfigError, match="does not match"):
+            parse_config(
+                {
+                    "kind": "theta_tower",
+                    "parameters": {**TORUS, "steps": 2},
+                    "checks": {"step2_image_relation_residual": 1e-9},
+                }
+            )
 
     def test_missing_parameter(self):
         with pytest.raises(ConfigError, match="requires parameter"):
             self._run("torus", {"p": 1})
 
     def test_dimension_guard(self):
-        configs, _ = parse_config({"kind": "torus", "parameters": {"p": 1, "q": 300}})
         with pytest.raises(ConfigError, match="exceeds"):
-            run_experiment(configs[0])
+            parse_config({"kind": "torus", "parameters": {"p": 1, "q": 300}})
 
     def test_tower_at_documented_depth_limit(self):
-        report = run_config(
-            {
-                "kind": "tower",
-                "parameters": {
-                    "p": 3,
-                    "q": 128,
-                    "depth": MAX_TOWER_DEPTH,
-                    "functions": {"hat_family": {"count": 5}},
-                    "level_pairs": "all",
-                },
-            }
-        )["reports"][0]
+        report = run_config(DEEP_TOWER)["reports"][0]
         assert report["pass"]
         assert report["details"]["pairs"] == 49 * 48 // 2
         assert report["residuals"]["max_squaring_residual"] <= 1e-13
@@ -230,9 +275,23 @@ class TestRunExperiment:
 
     def test_span_memory_guard_at_its_limit(self):
         assert 16 * 64**4 <= MAX_SPAN_BASIS_BYTES < 16 * 65**4
-        assert _span_params({"p": 1, "q": 64}, 128).q == 64
+        parse_config({"kind": "span", "parameters": {"p": 1, "q": 64}})
         with pytest.raises(ConfigError, match="MiB"):
-            _span_params({"p": 1, "q": 65}, 128)
+            parse_config({"kind": "span", "parameters": {"p": 1, "q": 65}})
+
+    def test_lemma_iso_memory_guard_at_its_limit(self):
+        # Defaults n=2, word_cap=3: 4 * 16 * 4 * 7 * q**4 bytes fit 256 MiB up to q=19.
+        parse_config({"kind": "lemma_iso", "parameters": {"p": 1, "q": 19}})
+        with pytest.raises(ConfigError, match="MiB"):
+            parse_config({"kind": "lemma_iso", "parameters": {"p": 1, "q": 20}})
+
+    def test_lemma_iso_word_guard_at_its_limit(self):
+        # n=2 and 2 base words at q=2: 8 * m**2 amplified words.
+        assert 8 * 158**2 <= WORD_BUDGET < 8 * 159**2
+        params = {"p": 1, "q": 2, "word_cap": 1}
+        parse_config({"kind": "lemma_iso", "parameters": {**params, "m": 158}})
+        with pytest.raises(ConfigError, match="amplified words"):
+            parse_config({"kind": "lemma_iso", "parameters": {**params, "m": 159}})
 
 
 class TestRendering:
@@ -320,6 +379,17 @@ class TestMainExitCodes:
         assert main(["run", cfg]) == 2
         assert time.perf_counter() - start < 1.0
         assert "MiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("late", LATE_ERRORS.values(), ids=LATE_ERRORS.keys())
+    def test_late_config_error_runs_nothing(self, tmp_path, capsys, late):
+        experiment, message = late
+        cfg = write_config(tmp_path, {"experiments": [DEEP_TOWER, experiment]})
+        start = time.perf_counter()
+        assert main(["run", cfg]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert "experiment 1: " in captured.err and message in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("pairs", [[[1]], "x", [[1, 2, 3]], [[1, "a"]]])
     def test_malformed_level_pairs_exit_two(self, tmp_path, capsys, pairs):

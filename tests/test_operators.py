@@ -160,6 +160,20 @@ class TestSpectralDecompose:
         outside = np.array([-np.pi + 2 * CUT_WINDOW, np.pi - 2 * CUT_WINDOW, 0.0])
         assert np.array_equal(_normalize_angles(outside), outside)
 
+    @pytest.mark.parametrize("p, q", [(13, 14), (13, 16), (83, 106)])
+    def test_clock_minus_one_on_the_plus_pi_side(self, p, q):
+        # A clock built as omega**k puts these -1 entries 10 to 81 ulps above -pi.
+        d = spectral_decompose(clock_matrix(p, q))
+        assert np.count_nonzero(d.angles == np.pi) == 1
+
+    def test_every_even_clock_has_minus_one_at_pi(self):
+        # p is odd, so entry q/2 is the -1 of clock(p, q).
+        for q in range(2, 129, 2):
+            for p in range(1, q, 2):
+                if np.gcd(p, q) == 1:
+                    angle = np.angle(clock_matrix(p, q)[q // 2, q // 2])
+                    assert abs(angle - np.pi) <= np.spacing(np.pi)
+
     def test_reconstruction_random(self):
         rng = np.random.default_rng(9)
         for dim in (2, 3, 8, 33, 64):
