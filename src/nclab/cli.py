@@ -40,6 +40,10 @@ from .towers import (
 )
 
 DEFAULT_MAX_DIM = 128
+# |p| <= 2**53, the range in which every integer is a float: the reported
+# theta = p / q stays finite, and p survives readers that parse JSON numbers
+# as doubles.
+MAX_NUMERATOR = 2**53
 # A span basis holds q**4 complex128 entries (16 * q**4 bytes); 256 MiB admits q <= 64.
 MAX_SPAN_BASIS_BYTES = 256 * 2**20
 # A lemma_iso check peaks near 4.3 times its n*n*|a| leg rows of q**4 complex128
@@ -93,8 +97,9 @@ def _read(obj: dict, key: str, where: str, default=None, integer=False, low=None
 
 
 def _torus_params(params: dict, kind: str, max_dim: int) -> TorusParams:
-    p = _read(params, "p", f"experiment kind '{kind}'", integer=True)
-    q = _read(params, "q", f"experiment kind '{kind}'", integer=True, low=1)
+    where = f"experiment kind '{kind}'"
+    p = _read(params, "p", where, integer=True, low=-MAX_NUMERATOR, high=MAX_NUMERATOR)
+    q = _read(params, "q", where, integer=True, low=1)
     if q > max_dim:
         raise ConfigError(f"{kind}: dimension {q} exceeds the maximum {max_dim}")
     return TorusParams(p, q)

@@ -40,6 +40,12 @@ class TorusParams:
     def theta(self) -> float:
         return self.p / self.q
 
+    @property
+    def phase(self) -> float:
+        """theta mod 1 from the exact fraction (p mod q) / q, which keeps the
+        relation's phase exact at any p, where the float p / q loses it."""
+        return self.p % self.q / self.q
+
     def halved(self) -> "TorusParams":
         return TorusParams(self.p, 2 * self.q)
 
@@ -94,7 +100,7 @@ def clock_shift(params: TorusParams, tol: float = TOL_TORUS) -> TorusRep:
         params=params,
         U=U,
         V=V,
-        commutation_residual=commutation_residual(U, V, params.theta),
+        commutation_residual=commutation_residual(U, V, params.phase),
         clock_order_residual=operator_norm(np.linalg.matrix_power(U, q) - eye),
         shift_order_residual=operator_norm(np.linalg.matrix_power(V, q) - eye),
     )
@@ -195,8 +201,8 @@ def theta_halving_embedding(
         target=target,
         source_dim=source_rep.U.shape[0],
         target_dim=target_rep.U.shape[0],
-        target_relation_residual=commutation_residual(target_rep.U, target_rep.V, target.theta),
-        image_relation_residual=commutation_residual(u2, target_rep.V, params.theta),
+        target_relation_residual=commutation_residual(target_rep.U, target_rep.V, target.phase),
+        image_relation_residual=commutation_residual(u2, target_rep.V, params.phase),
         image_clock_order_residual=operator_norm(np.linalg.matrix_power(u2, params.q) - eye),
         image_shift_order_residual=operator_norm(
             np.linalg.matrix_power(target_rep.V, 2 * params.q) - eye

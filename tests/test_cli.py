@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from nclab.cli import (
     KINDS,
+    MAX_NUMERATOR,
     MAX_SPAN_BASIS_BYTES,
     ConfigError,
     emit_report,
@@ -45,6 +46,7 @@ TORUS = {"p": 1, "q": 3}
 MALFORMED = {
     "string p": {"kind": "torus", "parameters": {"p": "x", "q": 3}},
     "fractional p": {"kind": "torus", "parameters": {"p": 1.5, "q": 3}},
+    "huge p": {"kind": "torus", "parameters": {"p": 2**1100 + 1, "q": 3}},
     "nan q": {"kind": "torus", "parameters": {"p": 1, "q": float("nan")}},
     "string threshold": {
         "kind": "torus",
@@ -417,6 +419,18 @@ class TestMainExitCodes:
                 code = main(args)
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("kind", ["torus", "theta_tower"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_numerator_at_its_limit(self, tmp_path, capsys, kind, sign):
+        assert MAX_NUMERATOR == 2**53
+        at_limit = {"kind": kind, "parameters": {"p": sign * MAX_NUMERATOR, "q": 3}}
+        assert main(["run", write_config(tmp_path, at_limit)]) == 0
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert max(report["residuals"].values()) < 1e-14
+        beyond = {"kind": kind, "parameters": {"p": sign * (MAX_NUMERATOR + 1), "q": 3}}
+        assert main(["run", write_config(tmp_path, beyond)]) == 2
+        assert "'p' must be in" in capsys.readouterr().err
 
     def test_invalid_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -33,6 +33,13 @@ class TestTorusParams:
         with pytest.raises(ValueError, match="denominator"):
             TorusParams(1, 0)
 
+    def test_phase_is_theta_mod_one(self):
+        for p, q in [(1, 3), (2, 7), (5, 64)]:
+            assert TorusParams(p, q).phase == TorusParams(p, q).theta
+        assert TorusParams(-1, 3).phase == 2 / 3
+        assert TorusParams(2**53 + 1, 4).phase == 1 / 4
+        assert TorusParams(2**1100 + 1, 3).phase == 2 / 3
+
     def test_json_round_trip(self):
         p = TorusParams(3, 7)
         assert TorusParams.from_json(p.to_json()) == p
@@ -62,6 +69,14 @@ class TestClockShift:
                     assert rep.commutation_residual < 1e-10
                     assert rep.clock_order_residual < 1e-10
                     assert rep.shift_order_residual < 1e-10
+
+    def test_relations_at_large_numerators(self):
+        # The float p / q loses the relation's phase from p ~ 2**20 on.
+        for p in (2**20 + 1, 2**53 - 1, 2**1100 + 1):
+            rep = clock_shift(TorusParams(p, 3))
+            assert rep.commutation_residual < 1e-14
+            (step,) = iterate_theta_halving(TorusParams(p, 3), 1)
+            assert max(step.target_relation_residual, step.image_relation_residual) < 1e-14
 
     def test_full_matrix_span(self):
         for q in (2, 3, 5):

@@ -21,7 +21,7 @@ from nclab import (
     random_unitary,
     shift_matrix,
 )
-from nclab.operators import SVD_BLOCK
+from nclab.operators import unitarity_defect
 from nclab.roots import TOL_ROOT
 from nclab.towers import MAX_TOWER_DEPTH
 
@@ -217,6 +217,15 @@ def towers_functions_and_pairs(draw):
     else:
         branches = [BranchFunction.random(2, rng) for _ in range(depth)]
     tower = build_tower(random_unitary(q, rng), depth, branches)
+    f, pairs = draw(functions_and_pairs(depth))
+    pairs += [pairs[0], (pairs[0][1], pairs[0][1])]
+    return tower, f, pairs
+
+
+@st.composite
+def functions_and_pairs(draw, depth):
+    """A complex piecewise-linear function supported within a depth-``depth``
+    tower, and level pairs at which it embeds."""
     exponent = draw(st.integers(0, min(2, depth)))
     bound = 2.0**exponent
     knots = draw(st.lists(st.floats(-bound, bound), min_size=2, max_size=7, unique=True))
@@ -224,8 +233,29 @@ def towers_functions_and_pairs(draw):
     inner = [complex(draw(parts), draw(parts)) for _ in range(len(knots) - 2)]
     f = CompactFunction(exponent, np.sort(knots), np.array([0j] + inner + [0j]))
     level = st.integers(exponent, depth)
-    pairs = draw(st.lists(st.tuples(level, level), min_size=1, max_size=40))
-    pairs += [pairs[0], (pairs[0][1], pairs[0][1])]
+    return f, draw(st.lists(st.tuples(level, level), min_size=1, max_size=40))
+
+
+@st.composite
+def bases_towers_functions_and_pairs(draw):
+    """A tower (depth <= 6, random branches) over a random unitary, shift(q) or
+    a degenerate clock(p, q) ⊗ I, optionally conjugated by a random unitary,
+    of dimension <= 64; a function and level pairs as above."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "shift", "clock x I"]))
+    if kind == "random":
+        base = random_unitary(draw(st.integers(1, 64)), rng)
+    elif kind == "shift":
+        base = shift_matrix(draw(st.integers(1, 64)))
+    else:
+        q = draw(st.integers(1, 16))
+        base = np.kron(clock_matrix(draw(st.integers(1, q)), q), np.eye(draw(st.integers(2, 4))))
+        if draw(st.booleans()):
+            w = random_unitary(len(base), rng)
+            base = w @ base @ w.conj().T
+    depth = draw(st.integers(1, 6))
+    tower = build_tower(base, depth, [BranchFunction.random(2, rng) for _ in range(depth)])
+    f, pairs = draw(functions_and_pairs(depth))
     return tower, f, pairs
 
 
@@ -251,10 +281,34 @@ class TestMaxLevelIndependence:
             max_level_independence(tower, f, pairs + [(below, tower.depth)])
         assert str(pair_error.value) == str(embed_error.value)
 
-    def test_pairs_beyond_one_svd_block(self):
+    @settings(max_examples=60, deadline=None)
+    @given(bases_towers_functions_and_pairs())
+    def test_bounds_the_honest_norm_within_the_basis_defect(self, case):
+        # ||V X V†|| lies in [(1 - δ) ||X||, (1 + δ) ||X||] for δ = ||V†V - I||.
+        # The honest norm subtracts two computed embeddings of norm up to m, so
+        # it carries roundoff of order q ε m whatever d is: levels that differ
+        # by 1e-47 at m = 0.84 read 0.  m is floored at the smallest normal
+        # float, below which the spacing of floats stops shrinking.
+        tower, f, pairs = case
+        delta = tower.basis_defect
+        assert delta == unitarity_defect(tower.base.vectors)
+        for a, b in pairs:
+            fa, fb = (f(2.0**k / np.pi * tower.angles[k]) for k in (a, b))
+            d = np.max(np.abs(fa - fb))
+            m = max(np.max(np.abs(fa)), np.max(np.abs(fb)), np.finfo(float).tiny)
+            slack = tower.dim * np.finfo(float).eps * m
+            honest = operator_norm(embed_on_level(tower, f, a) - embed_on_level(tower, f, b))
+            assert (1 - delta) * d - slack <= honest <= (1 + delta) * d + slack
+            assert level_independence_residual(tower, f, a, b) == (1 + delta) * d
+
+    def test_basis_defect_vanishes_on_clock_bases(self):
+        for p, q in [(1, 8), (3, 128), (5, 12)]:
+            assert build_tower(clock_matrix(p, q), 3, PRINCIPAL).basis_defect == 0.0
+
+    def test_many_repeated_pairs(self):
         flip = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
         t = build_tower(clock_matrix(1, 8), 2, [flip, PRINCIPAL])
-        worst = max_level_independence(t, hat(), [(0, 0)] * (2 * SVD_BLOCK) + [(0, 1)])
+        worst = max_level_independence(t, hat(), [(0, 0)] * 100 + [(0, 1)])
         assert worst > 0.1
         assert worst == level_independence_residual(t, hat(), 0, 1)
 
