@@ -44,12 +44,9 @@ DEFAULT_MAX_DIM = 128
 # theta = p / q stays finite, and p survives readers that parse JSON numbers
 # as doubles.
 MAX_NUMERATOR = 2**53
-# A span basis holds q**4 complex128 entries (16 * q**4 bytes); 256 MiB admits q <= 64.
+# A span basis holds rows of q**2 complex128 entries, 16 * rows * q**2 bytes: q**2
+# rows for span (256 MiB admits q <= 64), n*|a| rank rows for lemma_iso.
 MAX_SPAN_BASIS_BYTES = 256 * 2**20
-# A lemma_iso check peaks near 4.3 times its n*n*|a| leg rows of q**4 complex128
-# entries (tracemalloc: 291 MiB at q=20); four times the rows must fit
-# MAX_SPAN_BASIS_BYTES, which admits q <= 19 at n=2, word_cap=3.
-ISO_PEAK_FACTOR = 4
 TORUS_RESIDUALS = ("relation_residual", "clock_order_residual", "shift_order_residual")
 # Residual fields of ThetaHalvingReport and AmplificationIsoReport, reported by name.
 STEP_RESIDUALS = ("target_relation_residual", "image_relation_residual",
@@ -266,9 +263,9 @@ def _read_lemma_iso(params: dict, seed: int, max_dim: int):
         raise ConfigError(f"lemma_iso: {exc}") from exc
     # The base words are powers u**k with |k| <= word_cap, at most q of them independent.
     base_words = min(2 * word_cap + 1, torus.q, MAX_BASE_WORDS)
-    if ISO_PEAK_FACTOR * 16 * n * n * base_words * torus.q**4 > MAX_SPAN_BASIS_BYTES:
+    if 16 * n * base_words * torus.q**2 > MAX_SPAN_BASIS_BYTES:
         limit = MAX_SPAN_BASIS_BYTES >> 20
-        raise ConfigError(f"lemma_iso: span rows at q={torus.q}, n={n} exceed {limit} MiB")
+        raise ConfigError(f"lemma_iso: rank rows at q={torus.q}, n={n} exceed {limit} MiB")
     if n * n * base_words * m * m > WORD_BUDGET:
         raise ConfigError(f"lemma_iso: n={n}, m={m} give over {WORD_BUDGET} amplified words")
 

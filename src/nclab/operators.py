@@ -19,8 +19,6 @@ import scipy.linalg as la
 TOL_UNITARY = 1e-10
 TOL_SPECTRAL = 1e-8
 CLUSTER_GAP = 1e-8
-# Differences per batched SVD in max_difference_norm.
-SVD_BLOCK = 16
 
 TWO_PI = 2.0 * np.pi
 # Eigenangles within 4 ulps of the cut at +-pi are eigenvalue -1, which Schur
@@ -48,26 +46,6 @@ def operator_norm(a) -> float:
     """Largest singular value of ``a``."""
     a = as_operator(a)
     return float(np.linalg.norm(a, 2))
-
-
-def max_difference_norm(pairs) -> float:
-    """max ||x - y|| (largest singular value) over (x, y) pairs of equal-shape
-    matrices; 0 for none.  Each difference goes into one preallocated block
-    of ``SVD_BLOCK`` matrices, one batched SVD per block, so the working set
-    is one block however many pairs the iterable yields."""
-    block, count, worst = None, 0, 0.0
-    for x, y in pairs:
-        if block is None:
-            block = np.empty((SVD_BLOCK, *np.shape(x)), dtype=complex)
-        np.subtract(x, y, out=block[count])
-        count += 1
-        if count == SVD_BLOCK:
-            worst, count = max(worst, _largest_singular_value(block)), 0
-    return max(worst, _largest_singular_value(block[:count])) if count else worst
-
-
-def _largest_singular_value(stack: np.ndarray) -> float:
-    return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max())
 
 
 def hs_norm(a) -> float:

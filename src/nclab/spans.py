@@ -11,13 +11,14 @@ unitary whose powers twist the amplified word algebra, and the induced word
 map is tested for multiplicativity, adjoint-compatibility,
 module-compatibility, and span preservation.  The matrix-unit leg of an
 amplified word factors out of every residual exactly (norm 1, or 0 for a
-vanishing product of units, whose pairs are skipped), so each residual is
-one operator norm at dimension q**2.
+vanishing product of units, whose pairs are skipped), and the rest is
+bounded by norms of q-by-q legs, since ||X (x) Y|| = ||X|| ||Y||.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .operators import (
     Orthonormalizer,
     as_operator,
     hs_norm,
-    max_difference_norm,
     operator_norm,
     spectral_decompose,
 )
@@ -37,6 +37,8 @@ WORD_BUDGET = 200_000
 MAX_BASE_WORDS = 24
 # Rows of the basis Gram matrix formed at a time by the orthonormality check.
 GRAM_BLOCK_ROWS = 32
+# Residuals per batched SVD in max_tensor_difference_bound.
+SVD_BLOCK = 16
 
 
 @dataclass
@@ -200,8 +202,9 @@ class AmplificationIsoReport:
     multiplies the amplification leg by the matching power of the
     correction unitary; the four quantities quantify how far that word map
     is from a bijective adjoint-preserving algebra and module isomorphism.
-    The matrix-unit leg factors out of each residual exactly; ``pair_count``
-    also counts the skipped pairs, whose units multiply to 0 (residual 0).
+    Each residual is a certified upper bound (``max_tensor_difference_bound``);
+    ``pair_count`` also counts the skipped pairs, whose matrix units multiply
+    to 0 (residual 0).
     """
 
     multiplicativity_residual: float
@@ -214,6 +217,30 @@ class AmplificationIsoReport:
     span_dims_equal: bool
     word_count: int
     pair_count: int
+
+
+def max_tensor_difference_bound(legs, count: int) -> float:
+    """max over i < count of ||A_i - C_i|| ||B_i|| + ||C_i|| ||B_i - D_i||, or 0
+    for none: an upper bound on ||A_i (x) B_i - C_i (x) D_i||, since the
+    difference is (A_i - C_i) (x) B_i + C_i (x) (B_i - D_i) and
+    ||X (x) Y|| = ||X|| ||Y||.  ``legs(i)`` returns the stacks A, B, C, D for
+    an index array ``i`` of ``SVD_BLOCK`` items at most; the four largest
+    singular values of each block come from one batched SVD.
+    """
+    worst = 0.0
+    for start in range(0, count, SVD_BLOCK):
+        norms = _leg_norms(*legs(np.arange(start, min(start + SVD_BLOCK, count))))
+        worst = max(worst, float(np.max(norms[0] * norms[1] + norms[2] * norms[3])))
+    return worst
+
+
+def _leg_norms(a, b, c, d) -> np.ndarray:
+    # A function of its own, so that a block's legs are freed before the next is formed.
+    return np.linalg.svd(np.stack([a - c, b, c, b - d]), compute_uv=False)[..., 0]
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
 
 
 def amplification_iso_check(
@@ -245,14 +272,17 @@ def amplification_iso_check(
         the brute-force oracle for the normal form itself.
 
     A word is (root**k a) (x) w**(twist*k + j) (x) E_x, twist 0 on the domain
-    and 1 on the image.  Each residual is X (x) E with E a matrix unit or 0,
-    and ||X (x) E|| = ||X|| ||E||, so it is the norm of the two-leg X, taken
-    in batched SVDs.  E_x E_y is a unit when x % m == y // m and 0 otherwise;
-    pairs where it is 0 have residual exactly 0 and are skipped.
+    and 1 on the image, held as index arrays k, a, j, x.  A residual is
+    (A (x) B - C (x) D) (x) E with q-by-q root legs A, C and powers B, D of w,
+    each side an honest product of legs, and E a unit or 0: E_x E_y = 0 when
+    x % m != y // m, and such pairs are skipped.  As ||X (x) E|| = ||X|| ||E||,
+    each residual is ``max_tensor_difference_bound`` of its legs.
 
     Span dimensions of domain and image words are compared for bijectivity.
-    The amplification leg is sampled as correction powers tensor matrix
-    units, the smallest truncation on which the correction acts.
+    As w**n = I, the words span (sum_k root**k A) (x) W (x) M_m with
+    W = span{w**j : j < n}: each dimension is two ranks of q*q-entry rows
+    times m**2.  The amplification leg is sampled as correction powers
+    tensor matrix units, the smallest truncation on which the correction acts.
     """
     if xi.n != eta.n:
         raise ValueError(f"branch orders differ: {xi.n} vs {eta.n}")
@@ -264,95 +294,88 @@ def amplification_iso_check(
     u = as_operator(u)
     dim = u.shape[0]
     dec = spectral_decompose(u)
-    xi_u = nth_root_branch(u, xi, dec=dec)
-    eta_u = nth_root_branch(u, eta, dec=dec)
-    w = correction_unitary(u, xi, eta, dec=dec)
-
     ident = np.eye(dim, dtype=complex)
-    xi_pows = [ident]
-    eta_pows = [ident]
-    w_pows = [ident]
-    for _ in range(n):
-        xi_pows.append(xi_pows[-1] @ xi_u)
-        eta_pows.append(eta_pows[-1] @ eta_u)
-    for _ in range(2 * n):
-        w_pows.append(w_pows[-1] @ w)
-    u_pows = [ident, u]
-    correction_order_residual = operator_norm(w_pows[n] - ident)
+
+    def powers(x, count):
+        pows = [ident]
+        for _ in range(count - 1):
+            pows.append(pows[-1] @ x)
+        return np.array(pows)
+
+    xi_pows, eta_pows = (powers(nth_root_branch(u, f, dec=dec), n) for f in (xi, eta))
+    w_pows = powers(correction_unitary(u, xi, eta, dec=dec), 2 * n + 1)
+    u_pows = np.array([ident, u])
 
     base = [as_operator(g) for g in A_generators]
-    for g in base:
-        if g.shape[0] != dim:
-            raise ValueError("base generators must share the root unitary's dimension")
+    if any(g.shape[0] != dim for g in base):
+        raise ValueError("base generators must share the root unitary's dimension")
     alphabet = base + [u] + [g.conj().T for g in base] + [u.conj().T]
     word_basis = Orthonormalizer(MAX_BASE_WORDS, dim * dim, RANK_TOL)
     a_words = np.concatenate(list(_word_levels(alphabet, L, word_basis, WORD_BUDGET)))
 
-    words = [(k, a, j, x) for k in range(n) for a in a_words for j in range(n) for x in range(m**2)]
-
-    def word(root_pows, twist, k, a, j):
-        """(root**k a) (x) w**(twist*k + j): the word (k, a, j, x) without its unit,
-        a Kronecker product formed by broadcasting (np.kron's n-d setup dominates here)."""
-        x, y = root_pows[k] @ a, w_pows[twist * k + j]
-        return (x[:, None, :, None] * y[None, :, None, :]).reshape(dim * dim, dim * dim)
-
-    def product(s, t):
-        """Normal form of s t: root**n = u folds into the base word, w**n = I drops."""
-        fold, k = divmod(s[0] + t[0], n)
-        return k, u_pows[fold] @ s[1] @ t[1], (s[2] + t[2]) % n
-
-    def adjoint(s):
-        """Normal form of s†: root**(n-k), a† with u† folded in when k > 0, w**(n-j)."""
-        k, a, j, _ = s
-        return (n - k) % n, u.conj().T @ a.conj().T if k else a.conj().T, (n - j) % n
-
+    k, a, j, x = np.indices((n, len(a_words), n, m * m)).reshape(4, -1)
+    total = len(k)
     rng = np.random.default_rng(seed)
-    total = len(words)
     if total * total <= max_pairs:
-        pairs = [(s, t) for s in words for t in words]
+        s, t = np.divmod(np.arange(total * total), total)
     else:
-        idx = rng.integers(0, total, size=(max_pairs, 2))
-        pairs = [(words[i], words[j]) for i, j in idx]
-    linked = [(s, t) for s, t in pairs if s[3] % m == t[3] // m]
+        s, t = rng.integers(0, total, size=(max_pairs, 2)).T
+    linked = x[s] % m == x[t] // m
+    pair_count, s, t = len(s), s[linked], t[linked]
+    sample = rng.integers(0, total, size=max_pairs) if total > max_pairs else np.arange(total)
+    acting = a_words[:8]
+    module_words = sample[: max(1, max_pairs // len(acting))]
+    actor, target = np.divmod(np.arange(len(acting) * len(module_words)), len(module_words))
 
-    def products(root_pows, twist):
-        for s, t in linked:
-            lhs = word(root_pows, twist, *product(s, t))
-            yield lhs, word(root_pows, twist, *s[:3]) @ word(root_pows, twist, *t[:3])
+    def product_legs(root_pows, twist, i):
+        """Normal form of s t (root**n = u and w**n = I folded) against the product."""
+        ks, kt, js, jt = k[s[i]], k[t[i]], j[s[i]], j[t[i]]
+        a_s, a_t = a_words[a[s[i]]], a_words[a[t[i]]]
+        fold, kst = np.divmod(ks + kt, n)
+        return (
+            root_pows[kst] @ (u_pows[fold] @ a_s @ a_t),
+            w_pows[twist * kst + (js + jt) % n],
+            (root_pows[ks] @ a_s) @ (root_pows[kt] @ a_t),
+            w_pows[twist * ks + js] @ w_pows[twist * kt + jt],
+        )
 
-    mult_res = max_difference_norm(products(eta_pows, 1))
-    calc_res = max_difference_norm(products(xi_pows, 0))
+    def adjoint_legs(i):
+        """Normal form of s† (u† folds into a† when k > 0) against the image's adjoint."""
+        ks, js, a_s = k[sample[i]], j[sample[i]], a_words[a[sample[i]]]
+        ka, ja = (n - ks) % n, (n - js) % n
+        a_adj = _dagger(u_pows)[np.minimum(ks, 1)] @ _dagger(a_s)
+        image = eta_pows[ks] @ a_s, w_pows[ks + js]
+        return eta_pows[ka] @ a_adj, w_pows[ka + ja], *map(_dagger, image)
 
-    sample_words = words
-    if total > max_pairs:
-        sample_words = [words[i] for i in rng.integers(0, total, size=max_pairs)]
-    adj_res = max_difference_norm(
-        (word(eta_pows, 1, *adjoint(s)), word(eta_pows, 1, *s[:3]).conj().T) for s in sample_words
+    def module_legs(i):
+        """Image of the word g s against (g (x) I) times the image of s."""
+        ws, g_i = module_words[target[i]], acting[actor[i]]
+        root_b, a_b, w_pow = eta_pows[k[ws]], a_words[a[ws]], w_pows[k[ws] + j[ws]]
+        return (g_i @ root_b) @ a_b, w_pow, g_i @ (root_b @ a_b), w_pow
+
+    mult_res, calc_res = (
+        max_tensor_difference_bound(partial(product_legs, root_pows, twist), len(s))
+        for root_pows, twist in ((eta_pows, 1), (xi_pows, 0))
     )
-    acting = [([a @ p for p in eta_pows], np.kron(a, ident)) for a in a_words[:8]]
-    module_res = max_difference_norm(
-        (word(a_eta_pows, 1, k, b, j), amplified @ word(eta_pows, 1, k, b, j))
-        for a_eta_pows, amplified in acting
-        for k, b, j, _ in sample_words[: max(1, max_pairs // len(acting))]
-    )
-
-    # The matrix-unit leg contributes a full m*m factor to both span dimensions.
+    w_span = Orthonormalizer(n, dim * dim, RANK_TOL)
+    w_span.extend(w_pows[:n].reshape(n, -1))
     span_dims = []
-    for root_pows, twist in ((xi_pows, 0), (eta_pows, 1)):
-        legs = [word(root_pows, twist, k, a, j).ravel() for k, a, j, x in words if x == 0]
-        legs_basis = Orthonormalizer(len(legs), dim**4, RANK_TOL)
-        span_dims.append(int(legs_basis.extend(legs).sum()) * m * m)
+    for root_pows in (xi_pows, eta_pows):
+        # Rank rows go in one root power at a time, n*|a| rows of q*q entries in all.
+        rows = Orthonormalizer(n * len(a_words), dim * dim, RANK_TOL)
+        for p in root_pows:
+            rows.extend((p @ a_words).reshape(len(a_words), -1))
+        span_dims.append(rows.count * w_span.count * m * m)
     dom_dim, img_dim = span_dims
-
     return AmplificationIsoReport(
         multiplicativity_residual=mult_res,
-        adjoint_residual=adj_res,
-        module_residual=module_res,
+        adjoint_residual=max_tensor_difference_bound(adjoint_legs, len(sample)),
+        module_residual=max_tensor_difference_bound(module_legs, len(actor)),
         word_calculus_residual=calc_res,
-        correction_order_residual=correction_order_residual,
+        correction_order_residual=operator_norm(w_pows[n] - ident),
         domain_span_dim=dom_dim,
         image_span_dim=img_dim,
         span_dims_equal=dom_dim == img_dim,
-        word_count=len(words),
-        pair_count=len(pairs),
+        word_count=total,
+        pair_count=pair_count,
     )

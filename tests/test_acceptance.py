@@ -183,7 +183,7 @@ def test_criterion_7_generated_algebra_spans():
 
 
 def test_criterion_8_amplification_map():
-    """Branch-swap map on amplified words: dim <= 16, m <= 4, L <= 4, commutative base."""
+    """Branch-swap map on amplified words: dim <= 64, m <= 4, L <= 4, commutative base."""
     start = time.perf_counter()
     grid = [
         (2, 2, 3, 2),
@@ -195,6 +195,8 @@ def test_criterion_8_amplification_map():
         (8, 2, 3, 3),
         (8, 3, 4, 2),
         (16, 4, 4, 2),
+        (32, 4, 4, 2),
+        (64, 4, 4, 2),
     ]
     worst = 0.0
     worst_oracle = 0.0

@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -282,10 +283,13 @@ class TestRunExperiment:
             parse_config({"kind": "span", "parameters": {"p": 1, "q": 65}})
 
     def test_lemma_iso_memory_guard_at_its_limit(self):
-        # Defaults n=2, word_cap=3: 4 * 16 * 4 * 7 * q**4 bytes fit 256 MiB up to q=19.
-        parse_config({"kind": "lemma_iso", "parameters": {"p": 1, "q": 19}})
+        # n * |a| rank rows of q**2 complex128 entries, |a| = 24 base words at
+        # word_cap 12: 42 rows per base word fit 256 MiB at q=128, 43 do not.
+        assert 16 * 42 * 24 * 128**2 <= MAX_SPAN_BASIS_BYTES < 16 * 43 * 24 * 128**2
+        params = {"p": 1, "q": 128, "word_cap": 12, "m": 1}
+        parse_config({"kind": "lemma_iso", "parameters": {**params, "n": 42}})
         with pytest.raises(ConfigError, match="MiB"):
-            parse_config({"kind": "lemma_iso", "parameters": {"p": 1, "q": 20}})
+            parse_config({"kind": "lemma_iso", "parameters": {**params, "n": 43}})
 
     def test_lemma_iso_word_guard_at_its_limit(self):
         # n=2 and 2 base words at q=2: 8 * m**2 amplified words.
@@ -374,6 +378,20 @@ class TestMainExitCodes:
         cfg = write_config(tmp_path, {"kind": "bogus"})
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_lemma_iso_at_the_dimension_limit(self, tmp_path, capsys):
+        """lemma_iso at q=128 with the default n=2, m=2, word_cap=3: 2.8 s and a
+        56 MiB tracemalloc peak on one core."""
+        cfg = write_config(tmp_path, {"kind": "lemma_iso", "parameters": {"p": 1, "q": 128}})
+        tracemalloc.start()
+        try:
+            assert main(["run", cfg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        details = json.loads(capsys.readouterr().out)["reports"][0]["details"]
+        assert details["domain_span_dim"] == details["image_span_dim"] == 112
 
     def test_span_over_memory_limit_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "span", "parameters": {"p": 1, "q": 65}})

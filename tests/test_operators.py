@@ -20,10 +20,8 @@ from nclab import (
 )
 from nclab.operators import (
     CUT_WINDOW,
-    SVD_BLOCK,
     Orthonormalizer,
     _normalize_angles,
-    max_difference_norm,
 )
 
 
@@ -60,22 +58,6 @@ class TestOperatorNorm:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             operator_norm(np.ones((2, 3)))
-
-
-class TestMaxDifferenceNorm:
-    @pytest.mark.parametrize("where", [0, SVD_BLOCK - 1, SVD_BLOCK + 3, 2 * SVD_BLOCK + 1])
-    def test_largest_in_any_block(self, where):
-        rng = np.random.default_rng(where)
-        count = 2 * SVD_BLOCK + 2
-        xs = rng.standard_normal((count, 5, 5)) + 1j * rng.standard_normal((count, 5, 5))
-        ys = xs + 1e-3 * rng.standard_normal((count, 5, 5))
-        ys[where] += np.eye(5)
-        expected = max(operator_norm(x - y) for x, y in zip(xs, ys))
-        assert operator_norm(xs[where] - ys[where]) == expected
-        assert abs(max_difference_norm(zip(xs, ys)) - expected) <= 1e-12
-
-    def test_no_pairs(self):
-        assert max_difference_norm([]) == 0.0
 
 
 class TestHsInner:

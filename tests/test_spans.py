@@ -23,7 +23,13 @@ from nclab import (
     spectral_decompose,
 )
 from nclab.operators import Orthonormalizer
-from nclab.spans import RANK_TOL, WORD_BUDGET, _word_levels
+from nclab.spans import (
+    RANK_TOL,
+    SVD_BLOCK,
+    WORD_BUDGET,
+    _word_levels,
+    max_tensor_difference_bound,
+)
 
 
 def _kron3(a, b, c):
@@ -138,6 +144,140 @@ def amplification_iso_oracle(
         "word_count": len(words),
         "pair_count": len(pairs),
     }
+
+
+def two_leg_oracle(A_generators, u, xi, eta, m, L, seed=0, max_pairs=200) -> dict:
+    """Two-leg reference for ``amplification_iso_check``: the matrix-unit leg
+    factored out, every word the q**2-sized Kronecker product of its root
+    leg and its correction power, and every residual one ``operator_norm``
+    of a difference of such words, products of words taken as honest q**2-sized
+    products.  Same words and random draws.
+
+    Each residual entry is (honest, lower, scale) for the legs A, B, C, D of
+    ||A (x) B - C (x) D||: lower = | ||A - C|| ||B|| - ||C|| ||B - D|| | and
+    scale = ||A|| ||B|| + ||C|| ||D||.  Span dimensions come from the
+    n * |a| * n span rows of q**4 entries."""
+    n = xi.n
+    dim = u.shape[0]
+    dec = spectral_decompose(u)
+    xi_u = nth_root_branch(u, xi, dec=dec)
+    eta_u = nth_root_branch(u, eta, dec=dec)
+    w = correction_unitary(u, xi, eta, dec=dec)
+    ident = np.eye(dim, dtype=complex)
+    xi_pows, eta_pows, w_pows = [ident], [ident], [ident]
+    for _ in range(n):
+        xi_pows.append(xi_pows[-1] @ xi_u)
+        eta_pows.append(eta_pows[-1] @ eta_u)
+    for _ in range(2 * n):
+        w_pows.append(w_pows[-1] @ w)
+    u_pows = [ident, u]
+    base = list(A_generators)
+    alphabet = base + [u] + [g.conj().T for g in base] + [u.conj().T]
+    word_basis = Orthonormalizer(24, dim * dim, RANK_TOL)
+    a_words = np.concatenate(list(_word_levels(alphabet, L, word_basis, WORD_BUDGET)))
+    words = [(k, a, j, x) for k in range(n) for a in a_words for j in range(n) for x in range(m**2)]
+
+    def legs(root_pows, twist, k, a, j):
+        return root_pows[k] @ a, w_pows[twist * k + j]
+
+    def product(s, t):
+        fold, k = divmod(s[0] + t[0], n)
+        return k, u_pows[fold] @ s[1] @ t[1], (s[2] + t[2]) % n
+
+    def adjoint(s):
+        k, a, j, _ = s
+        return (n - k) % n, u.conj().T @ a.conj().T if k else a.conj().T, (n - j) % n
+
+    def entry(lhs, rhs, rhs_legs):
+        """(honest, lower, scale) for lhs = (A, B), rhs the honest q**2-sized
+        matrix and rhs_legs = (C, D) the legs it stands for."""
+        (a, b), (c, d) = lhs, rhs_legs
+        honest = operator_norm(np.kron(a, b) - rhs)
+        a_c, b_d = operator_norm(a - c), operator_norm(b - d)
+        lower = abs(a_c * operator_norm(b) - operator_norm(c) * b_d)
+        scale = operator_norm(a) * operator_norm(b) + operator_norm(c) * operator_norm(d)
+        return honest, lower, scale
+
+    rng = np.random.default_rng(seed)
+    total = len(words)
+    if total * total <= max_pairs:
+        pairs = [(s, t) for s in words for t in words]
+    else:
+        idx = rng.integers(0, total, size=(max_pairs, 2))
+        pairs = [(words[i], words[j]) for i, j in idx]
+    linked = [(s, t) for s, t in pairs if s[3] % m == t[3] // m]
+
+    def products(root_pows, twist):
+        out = []
+        for s, t in linked:
+            (cs, ds), (ct, dt) = legs(root_pows, twist, *s[:3]), legs(root_pows, twist, *t[:3])
+            rhs = np.kron(cs, ds) @ np.kron(ct, dt)
+            out.append(entry(legs(root_pows, twist, *product(s, t)), rhs, (cs @ ct, ds @ dt)))
+        return out
+
+    sample_words = words
+    if total > max_pairs:
+        sample_words = [words[i] for i in rng.integers(0, total, size=max_pairs)]
+    adjoints = []
+    for s in sample_words:
+        c, d = legs(eta_pows, 1, *s[:3])
+        lhs = legs(eta_pows, 1, *adjoint(s))
+        adjoints.append(entry(lhs, np.kron(c, d).conj().T, (c.conj().T, d.conj().T)))
+    modules = []
+    acting = a_words[:8]
+    for g in acting:
+        for k, b, j, _ in sample_words[: max(1, max_pairs // len(acting))]:
+            c, d = legs(eta_pows, 1, k, b, j)
+            rhs = np.kron(g, ident) @ np.kron(c, d)
+            modules.append(entry(((g @ eta_pows[k]) @ b, d), rhs, (g @ c, d)))
+
+    span_dims = []
+    for root_pows, twist in ((xi_pows, 0), (eta_pows, 1)):
+        rows = [np.kron(*legs(root_pows, twist, k, a, j)).ravel() for k, a, j, x in words if x == 0]
+        span_dims.append(int(Orthonormalizer(len(rows), dim**4, RANK_TOL).extend(rows).sum()) * m * m)
+    return {
+        "multiplicativity_residual": products(eta_pows, 1),
+        "adjoint_residual": adjoints,
+        "module_residual": modules,
+        "word_calculus_residual": products(xi_pows, 0),
+        "domain_span_dim": span_dims[0],
+        "image_span_dim": span_dims[1],
+        "word_count": len(words),
+        "pair_count": len(pairs),
+    }
+
+
+class TestMaxTensorDifferenceBound:
+    @pytest.mark.parametrize("where", [0, SVD_BLOCK - 1, SVD_BLOCK + 3, 2 * SVD_BLOCK + 1])
+    def test_largest_in_any_block(self, where):
+        # B = D = I: each term is ||A - C||, and the largest sits in the first,
+        # middle or last block.
+        rng = np.random.default_rng(where)
+        count = 2 * SVD_BLOCK + 2
+        a = rng.standard_normal((count, 5, 5)) + 1j * rng.standard_normal((count, 5, 5))
+        c = a + 1e-3 * rng.standard_normal((count, 5, 5))
+        c[where] += np.eye(5)
+        eye = np.broadcast_to(np.eye(5, dtype=complex), a.shape)
+        expected = max(operator_norm(x - y) for x, y in zip(a, c))
+        assert operator_norm(a[where] - c[where]) == expected
+        bound = max_tensor_difference_bound(lambda i: (a[i], eye[i], c[i], eye[i]), count)
+        assert abs(bound - expected) <= 1e-12
+
+    def test_no_items(self):
+        assert max_tensor_difference_bound(lambda i: pytest.fail("no legs to form"), 0) == 0.0
+
+    def test_bounds_the_tensor_difference(self):
+        rng = np.random.default_rng(7)
+        a, b, c, d = rng.standard_normal((4, 20, 3, 3)) + 1j * rng.standard_normal((4, 20, 3, 3))
+        terms = [
+            operator_norm(a[i] - c[i]) * operator_norm(b[i])
+            + operator_norm(c[i]) * operator_norm(b[i] - d[i])
+            for i in range(20)
+        ]
+        bound = max_tensor_difference_bound(lambda i: (a[i], b[i], c[i], d[i]), 20)
+        assert abs(bound - max(terms)) <= 1e-12 * max(terms)
+        honest = max(operator_norm(np.kron(a[i], b[i]) - np.kron(c[i], d[i])) for i in range(20))
+        assert honest <= bound
 
 
 class TestGenerateSpan:
@@ -364,6 +504,41 @@ class TestAmplificationIso:
                 assert abs(getattr(iso, key) - expected) <= 1e-12, key
             else:
                 assert getattr(iso, key) == expected, key
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.integers(2, 5),
+        m=st.integers(1, 3),
+        n=st.sampled_from([2, 3]),
+        L=st.integers(1, 3),
+        noncommuting=st.booleans(),
+        random_root=st.booleans(),
+        max_pairs=st.sampled_from([7, 60, 200]),
+    )
+    @example(seed=949170338, q=2, m=3, n=3, L=3, noncommuting=True, random_root=True, max_pairs=200)
+    def test_two_leg_oracle_within_the_bounds(
+        self, seed, q, m, n, L, noncommuting, random_root, max_pairs
+    ):
+        # Each honest two-leg residual lies in [lower, reported], widened by
+        # 4 q**2 eps (||A|| ||B|| + ||C|| ||D||) for the roundoff of the oracle's
+        # own q**2-sized products and norms: 2,500 random cases reached 1.38
+        # q**2 eps (...) on either side (the example above reaches 0.875).
+        rng = np.random.default_rng(seed)
+        rep = clock_shift(TorusParams(1, q))
+        u = random_unitary(q, rng) if random_root else rep.U
+        base = [rep.V] if noncommuting else []
+        xi, eta = BranchFunction.random(n, rng), BranchFunction.random(n, rng)
+        iso = amplification_iso_check(base, u, xi, eta, m, L, seed=seed, max_pairs=max_pairs)
+        oracle = two_leg_oracle(base, u, xi, eta, m, L, seed=seed, max_pairs=max_pairs)
+        for key, expected in oracle.items():
+            if not key.endswith("_residual"):
+                assert getattr(iso, key) == expected, key
+                continue
+            reported = getattr(iso, key)
+            for honest, lower, scale in expected:
+                slack = 4 * q * q * np.finfo(float).eps * scale
+                assert lower - slack <= honest <= reported + slack, key
 
     def test_amplified_working_set(self):
         # (q, m, L, n) = (12, 4, 4, 2): the three-leg words are 576 x 576, and
