@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,9 +45,11 @@ DEFAULT_MAX_DIM = 128
 # theta = p / q stays finite, and p survives readers that parse JSON numbers
 # as doubles.
 MAX_NUMERATOR = 2**53
-# A span basis holds rows of q**2 complex128 entries, 16 * rows * q**2 bytes: q**2
-# rows for span (256 MiB admits q <= 64), n*|a| rank rows for lemma_iso.
+# lemma_iso holds n*|a| rank rows of q**2 complex128 entries, 16 * n*|a| * q**2 bytes.
 MAX_SPAN_BASIS_BYTES = 256 * 2**20
+# generate_span's work grows as q**6: the full clock/shift algebra takes about
+# 2 s at q = 32 on one core and 21 s at q = 48, so span stops at a few seconds.
+MAX_SPAN_DIM = 32
 TORUS_RESIDUALS = ("relation_residual", "clock_order_residual", "shift_order_residual")
 # Residual fields of ThetaHalvingReport and AmplificationIsoReport, reported by name.
 STEP_RESIDUALS = ("target_relation_residual", "image_relation_residual",
@@ -119,6 +122,14 @@ def _branches_from_params(params: dict, depth: int) -> BranchFunction | list[Bra
     return branches
 
 
+@lru_cache(maxsize=16)
+def _hat_family(count: int, spread: float, half_width: float) -> tuple[CompactFunction, ...]:
+    """``count`` hats centered evenly on [-spread, spread], validated once per
+    distinct family; the towers of a config share them and only read them."""
+    centers = np.linspace(-spread, spread, count) if count > 1 else [0.0]
+    return tuple(CompactFunction.hat(float(c), half_width, support_exponent=0) for c in centers)
+
+
 def _functions_from_params(params: dict) -> list[CompactFunction]:
     choice = params.get("functions", {"hat_family": {}})
     if isinstance(choice, dict) and isinstance(choice.get("hat_family"), dict):
@@ -126,11 +137,8 @@ def _functions_from_params(params: dict) -> list[CompactFunction]:
         count = _read(fam, "count", "tower: hat_family", 5, integer=True, low=1)
         spread = _read(fam, "max_center", "tower: hat_family", 0.6)
         half_width = _read(fam, "half_width", "tower: hat_family", 0.3)
-        centers = np.linspace(-spread, spread, count) if count > 1 else [0.0]
         try:
-            return [
-                CompactFunction.hat(float(c), half_width, support_exponent=0) for c in centers
-            ]
+            return list(_hat_family(count, spread, half_width))
         except ValueError as exc:
             raise ConfigError(f"tower: bad hat_family: {exc}") from exc
     if isinstance(choice, list) and choice:
@@ -226,9 +234,11 @@ def _read_tower(params: dict, seed: int, max_dim: int):
 
 def _read_span(params: dict, seed: int, max_dim: int):
     torus = _torus_params(params, "span", max_dim)
-    if 16 * torus.q**4 > MAX_SPAN_BASIS_BYTES:
-        limit = MAX_SPAN_BASIS_BYTES >> 20
-        raise ConfigError(f"span: a basis at q={torus.q} exceeds the {limit} MiB limit")
+    if torus.q > MAX_SPAN_DIM:
+        raise ConfigError(
+            f"span: dimension {torus.q} exceeds the span limit {MAX_SPAN_DIM} "
+            "(span time grows as q**6)"
+        )
     word_cap = _read(params, "word_cap", "span", 2, integer=True, low=1)
     expected = None
     if "expected_span_dim" in params:

@@ -188,25 +188,31 @@ def theta_halving_embedding(
     params: TorusParams, max_dim: int = 128, tol: float = TOL_TORUS
 ) -> ThetaHalvingReport:
     """One step of the halving tower: represent theta/2 and check that the
-    squared clock with the same shift reproduces the theta relations."""
+    squared clock with the same shift reproduces the theta relations.  ``tol``
+    bounds the target relation and the two image orders (the source relations
+    are the previous step's target relations)."""
     target = params.halved()
     if target.q > max_dim:
         raise ValueError(f"target dimension {target.q} exceeds the configured maximum {max_dim}")
-    source_rep = clock_shift(params, tol=tol)
-    target_rep = clock_shift(target, tol=tol)
-    u2 = target_rep.U @ target_rep.U
+    U = clock_matrix(target.p, target.q)
+    V = shift_matrix(target.q)
+    u2 = U @ U
     eye = np.eye(target.q)
+    relation = commutation_residual(U, V, target.phase)
+    clock_order = operator_norm(np.linalg.matrix_power(u2, params.q) - eye)
+    shift_order = operator_norm(np.linalg.matrix_power(V, 2 * params.q) - eye)
+    worst = max(relation, clock_order, shift_order)
+    if worst > tol:
+        raise ArithmeticError(f"clock/shift relations violated: residual {worst:.3e}")
     return ThetaHalvingReport(
         source=params,
         target=target,
-        source_dim=source_rep.U.shape[0],
-        target_dim=target_rep.U.shape[0],
-        target_relation_residual=commutation_residual(target_rep.U, target_rep.V, target.phase),
-        image_relation_residual=commutation_residual(u2, target_rep.V, params.phase),
-        image_clock_order_residual=operator_norm(np.linalg.matrix_power(u2, params.q) - eye),
-        image_shift_order_residual=operator_norm(
-            np.linalg.matrix_power(target_rep.V, 2 * params.q) - eye
-        ),
+        source_dim=params.q,
+        target_dim=target.q,
+        target_relation_residual=relation,
+        image_relation_residual=commutation_residual(u2, V, params.phase),
+        image_clock_order_residual=clock_order,
+        image_shift_order_residual=shift_order,
     )
 
 

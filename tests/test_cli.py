@@ -17,6 +17,7 @@ from nclab.cli import (
     KINDS,
     MAX_NUMERATOR,
     MAX_SPAN_BASIS_BYTES,
+    MAX_SPAN_DIM,
     ConfigError,
     emit_report,
     main,
@@ -276,11 +277,11 @@ class TestRunExperiment:
         assert report["residuals"]["max_squaring_residual"] <= 1e-13
         assert report["residuals"]["max_level_independence"] == 0.0
 
-    def test_span_memory_guard_at_its_limit(self):
-        assert 16 * 64**4 <= MAX_SPAN_BASIS_BYTES < 16 * 65**4
-        parse_config({"kind": "span", "parameters": {"p": 1, "q": 64}})
-        with pytest.raises(ConfigError, match="MiB"):
-            parse_config({"kind": "span", "parameters": {"p": 1, "q": 65}})
+    def test_span_time_guard_at_its_limit(self):
+        assert MAX_SPAN_DIM == 32
+        parse_config({"kind": "span", "parameters": {"p": 1, "q": 32}})
+        with pytest.raises(ConfigError, match="span limit 32"):
+            parse_config({"kind": "span", "parameters": {"p": 1, "q": 33}})
 
     def test_lemma_iso_memory_guard_at_its_limit(self):
         # n * |a| rank rows of q**2 complex128 entries, |a| = 24 base words at
@@ -393,12 +394,12 @@ class TestMainExitCodes:
         details = json.loads(capsys.readouterr().out)["reports"][0]["details"]
         assert details["domain_span_dim"] == details["image_span_dim"] == 112
 
-    def test_span_over_memory_limit_exit_two(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"kind": "span", "parameters": {"p": 1, "q": 65}})
+    def test_span_over_time_limit_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": "span", "parameters": {"p": 1, "q": 33}})
         start = time.perf_counter()
         assert main(["run", cfg]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "MiB" in capsys.readouterr().err
+        assert "span limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("late", LATE_ERRORS.values(), ids=LATE_ERRORS.keys())
     def test_late_config_error_runs_nothing(self, tmp_path, capsys, late):

@@ -1,5 +1,7 @@
 """Tests for the matrix foundation: norms, inner products, spectral calculus."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -58,6 +60,63 @@ class TestOperatorNorm:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             operator_norm(np.ones((2, 3)))
+
+
+EPS = np.finfo(float).eps
+# Moduli from 1e-30 to 1e30, and the same or an exact zero.
+NONZERO_MODULI = st.floats(-30, 30).map(lambda e: 10.0**e)
+MODULI = st.one_of(st.just(0.0), NONZERO_MODULI)
+
+
+@st.composite
+def monomial_matrices(draw, min_dim=1):
+    """A random permutation times a diagonal of complex entries, some exactly 0."""
+    q = draw(st.integers(min_dim, 64))
+    perm = draw(st.permutations(range(q)))
+    moduli = np.array(draw(st.lists(MODULI, min_size=q, max_size=q)))
+    phases = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=q, max_size=q)))
+    a = np.zeros((q, q), dtype=complex)
+    a[np.arange(q), perm] = moduli * np.exp(1j * phases)
+    return a, perm
+
+
+class TestMonomialNorm:
+    """operator_norm returns max |a_ij| on monomial matrices, without an SVD,
+    and the SVD norm on any other matrix."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(monomial_matrices())
+    def test_monomial_matches_svd_norm(self, drawn):
+        a, _ = drawn
+        reference = np.linalg.norm(a, 2)
+        with mock.patch("numpy.linalg.norm", wraps=np.linalg.norm) as svd_norm:
+            value = operator_norm(a)
+        svd_norm.assert_not_called()
+        assert value == np.abs(a).max()
+        assert abs(value - reference) <= 16 * EPS * reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(monomial_matrices(min_dim=2), st.data())
+    def test_one_extra_entry_takes_the_svd(self, drawn, data):
+        a, perm = drawn
+        q = len(a)
+        # Entry j is made nonzero, and the extra one shares its column.
+        j, i = data.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+        a[j, perm[j]] = data.draw(NONZERO_MODULI)
+        a[i, perm[j]] = data.draw(NONZERO_MODULI) * np.exp(1j * data.draw(st.floats(-3, 3)))
+        reference = np.linalg.norm(a, 2)
+        with mock.patch("numpy.linalg.norm", wraps=np.linalg.norm) as svd_norm:
+            value = operator_norm(a)
+        svd_norm.assert_called_once()
+        assert abs(value - reference) <= 16 * EPS * reference
+
+    def test_clock_shift_relations_are_monomial(self):
+        u, v = clock_matrix(3, 7), shift_matrix(7)
+        diff = u @ v - np.exp(2j * np.pi * 3 / 7) * v @ u
+        with mock.patch("numpy.linalg.norm", wraps=np.linalg.norm) as svd_norm:
+            assert operator_norm(diff) == np.abs(diff).max()
+            operator_norm(np.linalg.matrix_power(u, 7) - np.eye(7))
+        svd_norm.assert_not_called()
 
 
 class TestHsInner:

@@ -196,3 +196,48 @@ class TestThetaHalving:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="maximum"):
             theta_halving_embedding(TorusParams(1, 65), max_dim=128)
+
+    def test_tolerance_raises(self):
+        with pytest.raises(ArithmeticError, match="violated"):
+            theta_halving_embedding(TorusParams(1, 3), tol=-1.0)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(p, q) for q in range(2, 17) for p in range(1, q) if gcd(p, q) == 1]
+        + [(0, 1)]
+        + [(2**53 - 1, q) for q in (3, 5, 16)],
+    )
+    def test_matches_two_rep_oracle(self, p, q):
+        eps = np.finfo(float).eps
+        for report in iterate_theta_halving(TorusParams(p, q), 3):
+            dims, oracle = two_rep_halving_step(report.source)
+            assert (report.source_dim, report.target_dim) == dims
+            values = [
+                report.target_relation_residual,
+                report.image_relation_residual,
+                report.image_clock_order_residual,
+                report.image_shift_order_residual,
+            ]
+            for value, expected in zip(values, oracle, strict=True):
+                assert abs(value - expected) <= 16 * eps * max(value, expected)
+
+
+def two_rep_halving_step(params: TorusParams) -> tuple[tuple[int, int], tuple[float, ...]]:
+    """The halving step from two full clock/shift representations, with
+    every residual an SVD norm: the reference for theta_halving_embedding.
+    Returns the (source, target) dimensions and the four step residuals."""
+    target = params.halved()
+    source = clock_shift(params)
+    rep = clock_shift(target)
+    u2 = rep.U @ rep.U
+    eye = np.eye(target.q)
+
+    def relation(a, b, phase):
+        return np.linalg.norm(a @ b - np.exp(2j * np.pi * phase) * b @ a, 2)
+
+    return (len(source.U), len(rep.U)), (
+        relation(rep.U, rep.V, target.phase),
+        relation(u2, rep.V, params.phase),
+        np.linalg.norm(np.linalg.matrix_power(u2, params.q) - eye, 2),
+        np.linalg.norm(np.linalg.matrix_power(rep.V, 2 * params.q) - eye, 2),
+    )
