@@ -10,6 +10,7 @@ unwritable output destination.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -407,14 +408,15 @@ def render_json(report: dict) -> str:
 
 def render_csv(report: dict) -> str:
     out = io.StringIO()
-    out.write("experiment,residual_name,value,threshold,pass\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["experiment", "residual_name", "value", "threshold", "pass"])
     for rep in report["reports"]:
         checked = {c["name"]: c for c in rep["checks"]}
         for name, value in rep["residuals"].items():
             check = checked.get(name)
             threshold = "" if check is None else repr(check["threshold"])
             passed = "" if check is None else str(check["pass"]).lower()
-            out.write(f"{rep['name']},{name},{value!r},{threshold},{passed}\n")
+            writer.writerow([rep["name"], name, repr(value), threshold, passed])
     return out.getvalue()
 
 

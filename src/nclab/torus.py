@@ -6,12 +6,18 @@ to zero.
 Only rational angles theta = p/q are represented: they admit faithful
 q-dimensional clock/shift models, while irrational angles have no
 finite-dimensional faithful representation at all.
+
+The torus relations are read from the structure of the generators: the
+clock U = diag(d) is its diagonal d, and the shift V is the index roll
+e_j -> e_{j+1}.  So U V - w V U has the entries d_i - w d_{i-1} at (i, i-1)
+and no others, U**n = diag(d**n), and V**n is the roll by n mod q; no
+residual forms a q x q array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, pi, sin
 
 import numpy as np
 
@@ -69,11 +75,16 @@ class TorusRep:
     shift_order_residual: float
 
 
+def _clock_diagonal(p: int, q: int) -> np.ndarray:
+    """(1, w, w^2, ...) with w = e^{2 pi i p/q}.  Entry k takes its phase from
+    the exact fraction ((p k) mod q) / q, so rounding does not compound along
+    the diagonal and an entry -1 has angle exactly pi."""
+    return np.exp(2j * np.pi * ((p % q) * np.arange(q) % q / q))
+
+
 def clock_matrix(p: int, q: int) -> np.ndarray:
-    """diag(1, w, w^2, ...) with w = e^{2 pi i p/q}.  Entry k takes its phase
-    from the exact fraction ((p k) mod q) / q, so rounding does not compound
-    along the diagonal and an entry -1 has angle exactly pi."""
-    return np.diag(np.exp(2j * np.pi * ((p % q) * np.arange(q) % q / q)))
+    """The clock diag(1, w, w^2, ...) with w = e^{2 pi i p/q}."""
+    return np.diag(_clock_diagonal(p, q))
 
 
 def shift_matrix(q: int) -> np.ndarray:
@@ -90,19 +101,42 @@ def commutation_residual(a, b, theta: float) -> float:
     return operator_norm(a @ b - np.exp(2j * np.pi * theta) * b @ a)
 
 
+def _shift_relation_residual(d: np.ndarray, phase: float) -> float:
+    """||diag(d) V - e^{2 pi i phase} V diag(d)|| for the cyclic shift V.
+
+    The difference is monomial, with the entries d_i - w d_{i-1} at (i, i-1),
+    so its norm is their largest modulus."""
+    return float(np.abs(d - np.exp(2j * np.pi * phase) * np.roll(d, 1)).max())
+
+
+def _diagonal_order_residual(d: np.ndarray, n: int) -> float:
+    """||diag(d)**n - I||, with d**n from numpy's repeated squaring applied
+    to q blocks of size 1 x 1."""
+    power = np.linalg.matrix_power(d[:, None, None], n)[:, 0, 0]
+    return float(np.abs(power - 1).max())
+
+
+def _shift_order_residual(q: int, n: int) -> float:
+    """||V**n - I|| for the q-dimensional cyclic shift V.
+
+    V**n rolls the indices by n mod q, and its cycles all have the length
+    L = q / gcd(n, q); V**n - I is normal with eigenvalues e^{2 pi i k/L} - 1,
+    so its norm is 2 sin(pi floor(L/2) / L), exactly 0 when q divides n."""
+    length = q // gcd(n, q)
+    return 2 * sin(pi * (length // 2) / length)
+
+
 def clock_shift(params: TorusParams, tol: float = TOL_TORUS) -> TorusRep:
     """The standard q-dimensional clock/shift representation of theta = p/q."""
     q = params.q
-    U = clock_matrix(params.p, q)
-    V = shift_matrix(q)
-    eye = np.eye(q)
+    d = _clock_diagonal(params.p, q)
     rep = TorusRep(
         params=params,
-        U=U,
-        V=V,
-        commutation_residual=commutation_residual(U, V, params.phase),
-        clock_order_residual=operator_norm(np.linalg.matrix_power(U, q) - eye),
-        shift_order_residual=operator_norm(np.linalg.matrix_power(V, q) - eye),
+        U=np.diag(d),
+        V=shift_matrix(q),
+        commutation_residual=_shift_relation_residual(d, params.phase),
+        clock_order_residual=_diagonal_order_residual(d, q),
+        shift_order_residual=_shift_order_residual(q, q),
     )
     worst = max(rep.commutation_residual, rep.clock_order_residual, rep.shift_order_residual)
     if worst > tol:
@@ -194,13 +228,11 @@ def theta_halving_embedding(
     target = params.halved()
     if target.q > max_dim:
         raise ValueError(f"target dimension {target.q} exceeds the configured maximum {max_dim}")
-    U = clock_matrix(target.p, target.q)
-    V = shift_matrix(target.q)
-    u2 = U @ U
-    eye = np.eye(target.q)
-    relation = commutation_residual(U, V, target.phase)
-    clock_order = operator_norm(np.linalg.matrix_power(u2, params.q) - eye)
-    shift_order = operator_norm(np.linalg.matrix_power(V, 2 * params.q) - eye)
+    d = _clock_diagonal(target.p, target.q)
+    d2 = d * d
+    relation = _shift_relation_residual(d, target.phase)
+    clock_order = _diagonal_order_residual(d2, params.q)
+    shift_order = _shift_order_residual(target.q, 2 * params.q)
     worst = max(relation, clock_order, shift_order)
     if worst > tol:
         raise ArithmeticError(f"clock/shift relations violated: residual {worst:.3e}")
@@ -210,7 +242,7 @@ def theta_halving_embedding(
         source_dim=params.q,
         target_dim=target.q,
         target_relation_residual=relation,
-        image_relation_residual=commutation_residual(u2, V, params.phase),
+        image_relation_residual=_shift_relation_residual(d2, params.phase),
         image_clock_order_residual=clock_order,
         image_shift_order_residual=shift_order,
     )

@@ -1,6 +1,7 @@
 """Tests for the experiment runner: config parsing, reports, exit codes."""
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -323,6 +324,13 @@ class TestRendering:
         assert lines[0] == "experiment,residual_name,value,threshold,pass"
         residual_count = sum(len(r["residuals"]) for r in report["reports"])
         assert len(lines) - 1 == residual_count
+
+    def test_csv_quotes_names(self):
+        name = 'a,b "x"'
+        report = run_config({"name": name, "kind": "torus", "parameters": {"p": 1, "q": 3}})
+        rows = list(csv.reader(io.StringIO(render_csv(report))))
+        assert all(len(row) == 5 for row in rows)
+        assert [row[0] for row in rows[1:]] == [name] * (len(rows) - 1)
 
     def test_csv_header_only_for_empty(self):
         report = {"reports": []}

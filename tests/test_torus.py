@@ -1,9 +1,12 @@
 """Tests for clock/shift torus representations and the halving tower."""
 
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nclab import (
     BranchFunction,
@@ -19,6 +22,7 @@ from nclab import (
     operator_norm,
     theta_halving_embedding,
 )
+from nclab.torus import _shift_order_residual
 
 
 class TestTorusParams:
@@ -83,6 +87,99 @@ class TestClockShift:
             rep = clock_shift(TorusParams(1, q))
             span = generate_span([rep.U, rep.V], 2 * q)
             assert span.span_dim == q * q
+
+
+EPS = np.finfo(float).eps
+
+
+def roundoff_bound(n: int) -> float:
+    """A priori bound on a torus residual whose largest power is n.
+
+    Each clock entry e^{2 pi i k/q} is within 11 eps of the unit-circle value
+    it stands for: the angle 2 pi (k/q) takes three roundings (k/q, the
+    float 2 pi and their product), at most 1.5 eps * 2 pi < 10 eps, and the
+    complex exponential adds about 1 eps.  A power n multiplies the angle
+    error by n, and its at most 2n complex multiplies add about 1.2 eps each,
+    so a clock power is within about 14 n eps of its exact value, and a
+    relation difference (n = 1 or 2) sums a few such errors.  32 (n + 1) eps
+    covers all of them, for the structured residuals and the dense oracle
+    alike."""
+    return 32 * (n + 1) * EPS
+
+
+def dense_pair(params: TorusParams) -> tuple[np.ndarray, np.ndarray]:
+    """The clock and the shift of theta = p/q as full q x q matrices."""
+    q = params.q
+    u = np.diag(np.exp(2j * np.pi * ((params.p % q) * np.arange(q) % q / q)))
+    v = np.roll(np.eye(q, dtype=complex), 1, axis=0)
+    return u, v
+
+
+def dense_relation(a, b, phase) -> float:
+    return np.linalg.norm(a @ b - np.exp(2j * np.pi * phase) * b @ a, 2)
+
+
+def dense_order(a, n) -> float:
+    return np.linalg.norm(np.linalg.matrix_power(a, n) - np.eye(len(a)), 2)
+
+
+def dense_clock_shift(params: TorusParams) -> tuple[float, float, float]:
+    """The three residuals of clock_shift from dense products and SVD norms."""
+    u, v = dense_pair(params)
+    return (
+        dense_relation(u, v, params.phase),
+        dense_order(u, params.q),
+        dense_order(v, params.q),
+    )
+
+
+def assert_within_roundoff(values, oracle, powers):
+    for value, expected, n in zip(values, oracle, powers, strict=True):
+        bound = roundoff_bound(n)
+        assert value <= bound and expected <= bound
+        assert abs(value - expected) <= bound
+
+
+class TestStructuredResiduals:
+    """The residuals read from the clock's diagonal and the shift's roll
+    against honest dense products."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(-(2**53), 2**53), q=st.integers(1, 64))
+    @example(p=1, q=63)
+    @example(p=2**53 - 1, q=64)
+    @example(p=-(2**53), q=63)
+    def test_match_dense_oracle(self, p, q):
+        assume(gcd(p, q) == 1)
+        params = TorusParams(p, q)
+        rep = clock_shift(params)
+        oracle = dense_clock_shift(params)
+        values = (rep.commutation_residual, rep.clock_order_residual, rep.shift_order_residual)
+        assert_within_roundoff(values, oracle, (1, params.q, params.q))
+        assert rep.shift_order_residual == 0.0 == oracle[2]
+        dims, step_oracle = two_rep_halving_step(params)
+        step = theta_halving_embedding(params)
+        assert (step.source_dim, step.target_dim) == dims
+        assert_within_roundoff(step_values(step), step_oracle, (1, 2, 2 * params.q, 2 * params.q))
+        assert step.image_shift_order_residual == 0.0 == step_oracle[3]
+
+    def test_shift_order_off_multiples(self):
+        for q in (1, 2, 5, 6, 12):
+            _, v = dense_pair(TorusParams(1, q))
+            for n in range(1, 2 * q + 1):
+                expected = dense_order(v, n)
+                assert abs(_shift_order_residual(q, n) - expected) <= 4 * EPS
+
+    def test_halving_step_allocates_no_square_array(self):
+        q = 128
+        square_bytes = 16 * q * q
+        tracemalloc.start()
+        try:
+            theta_halving_embedding(TorusParams(1, q // 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < square_bytes
 
 
 class TestCommutationResidual:
@@ -208,36 +305,34 @@ class TestThetaHalving:
         + [(2**53 - 1, q) for q in (3, 5, 16)],
     )
     def test_matches_two_rep_oracle(self, p, q):
-        eps = np.finfo(float).eps
         for report in iterate_theta_halving(TorusParams(p, q), 3):
             dims, oracle = two_rep_halving_step(report.source)
             assert (report.source_dim, report.target_dim) == dims
-            values = [
-                report.target_relation_residual,
-                report.image_relation_residual,
-                report.image_clock_order_residual,
-                report.image_shift_order_residual,
-            ]
-            for value, expected in zip(values, oracle, strict=True):
-                assert abs(value - expected) <= 16 * eps * max(value, expected)
+            powers = (1, 2, 2 * report.source.q, 2 * report.source.q)
+            assert_within_roundoff(step_values(report), oracle, powers)
+
+
+def step_values(report) -> tuple[float, float, float, float]:
+    return (
+        report.target_relation_residual,
+        report.image_relation_residual,
+        report.image_clock_order_residual,
+        report.image_shift_order_residual,
+    )
 
 
 def two_rep_halving_step(params: TorusParams) -> tuple[tuple[int, int], tuple[float, ...]]:
-    """The halving step from two full clock/shift representations, with
-    every residual an SVD norm: the reference for theta_halving_embedding.
-    Returns the (source, target) dimensions and the four step residuals."""
+    """The halving step from two full clock/shift pairs, with every residual
+    a dense product and an SVD norm: the reference for
+    theta_halving_embedding.  Returns the (source, target) dimensions and the
+    four step residuals."""
     target = params.halved()
-    source = clock_shift(params)
-    rep = clock_shift(target)
-    u2 = rep.U @ rep.U
-    eye = np.eye(target.q)
-
-    def relation(a, b, phase):
-        return np.linalg.norm(a @ b - np.exp(2j * np.pi * phase) * b @ a, 2)
-
-    return (len(source.U), len(rep.U)), (
-        relation(rep.U, rep.V, target.phase),
-        relation(u2, rep.V, params.phase),
-        np.linalg.norm(np.linalg.matrix_power(u2, params.q) - eye, 2),
-        np.linalg.norm(np.linalg.matrix_power(rep.V, 2 * params.q) - eye, 2),
+    source_u, _ = dense_pair(params)
+    u, v = dense_pair(target)
+    u2 = u @ u
+    return (len(source_u), len(u)), (
+        dense_relation(u, v, target.phase),
+        dense_relation(u2, v, params.phase),
+        dense_order(u2, params.q),
+        dense_order(v, 2 * params.q),
     )
