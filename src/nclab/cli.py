@@ -46,8 +46,6 @@ DEFAULT_MAX_DIM = 128
 # theta = p / q stays finite, and p survives readers that parse JSON numbers
 # as doubles.
 MAX_NUMERATOR = 2**53
-# lemma_iso holds n*|a| rank rows of q**2 complex128 entries, 16 * n*|a| * q**2 bytes.
-MAX_SPAN_BASIS_BYTES = 256 * 2**20
 # generate_span's work grows as q**6: the full clock/shift algebra takes about
 # 2 s at q = 32 on one core and 21 s at q = 48, so span stops at a few seconds.
 MAX_SPAN_DIM = 32
@@ -273,16 +271,15 @@ def _read_lemma_iso(params: dict, seed: int, max_dim: int):
     except ValueError as exc:
         raise ConfigError(f"lemma_iso: {exc}") from exc
     # The base words are powers u**k with |k| <= word_cap, at most q of them independent.
+    # The word budget bounds memory too: the check holds index arrays of the
+    # words and n*|a| rank rows of q entries.
     base_words = min(2 * word_cap + 1, torus.q, MAX_BASE_WORDS)
-    if 16 * n * base_words * torus.q**2 > MAX_SPAN_BASIS_BYTES:
-        limit = MAX_SPAN_BASIS_BYTES >> 20
-        raise ConfigError(f"lemma_iso: rank rows at q={torus.q}, n={n} exceed {limit} MiB")
     if n * n * base_words * m * m > WORD_BUDGET:
         raise ConfigError(f"lemma_iso: n={n}, m={m} give over {WORD_BUDGET} amplified words")
 
     def compute():
         u = clock_matrix(torus.p, torus.q)
-        iso = amplification_iso_check([], u, xi, eta, m, word_cap, seed=seed)
+        iso = amplification_iso_check(u, xi, eta, m, word_cap, seed=seed)
         values = [getattr(iso, name) for name in ISO_RESIDUALS]
         values.append(abs(iso.domain_span_dim - iso.image_span_dim))
         counts = ("domain_span_dim", "image_span_dim", "word_count", "pair_count")

@@ -5,20 +5,21 @@ generators, their adjoints, and the identity up to a word-length cap, as an
 orthonormal matrix basis: one breadth-first search keeps each word that
 extends the span, through ``operators.Orthonormalizer``.  Membership of any
 operator is then an orthogonal projection.  On top of that sits the
-amplification-isomorphism check, whose base words come from the same
-search: two root branches of the same unitary differ by a correction
-unitary whose powers twist the amplified word algebra, and the induced word
-map is tested for multiplicativity, adjoint-compatibility,
-module-compatibility, and span preservation.  The matrix-unit leg of an
-amplified word factors out of every residual exactly (norm 1, or 0 for a
-vanishing product of units, whose pairs are skipped), and the rest is
-bounded by norms of q-by-q legs, since ||X (x) Y|| = ||X|| ||Y||.
+amplification-isomorphism check: two root branches of the same unitary u
+differ by a correction unitary whose powers twist the amplified word
+algebra, and the induced word map is tested for multiplicativity,
+adjoint-compatibility, module-compatibility, and span preservation.  The
+matrix-unit leg of an amplified word factors out of every residual exactly
+(norm 1, or 0 for a vanishing product of units, whose pairs are skipped).
+Every other leg (root powers, base words u**a, correction powers) is a
+function of u, held as the length-q vector of its eigenvalues in u's
+eigenbasis V, and each residual is bounded by maxima over those vectors
+times (1 + δ)**2, δ = ||V†V - I||, since ||X (x) Y|| = ||X|| ||Y||.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from .operators import (
     Orthonormalizer,
     as_operator,
     hs_norm,
-    operator_norm,
     spectral_decompose,
+    unitarity_defect,
 )
-from .roots import BranchFunction, correction_unitary, nth_root_branch
+from .roots import BranchFunction, branch_quotient
 
 RANK_TOL = 1e-8
 WORD_BUDGET = 200_000
@@ -37,8 +38,6 @@ WORD_BUDGET = 200_000
 MAX_BASE_WORDS = 24
 # Rows of the basis Gram matrix formed at a time by the orthonormality check.
 GRAM_BLOCK_ROWS = 32
-# Residuals per batched SVD in max_tensor_difference_bound.
-SVD_BLOCK = 16
 
 
 @dataclass
@@ -202,7 +201,7 @@ class AmplificationIsoReport:
     multiplies the amplification leg by the matching power of the
     correction unitary; the four quantities quantify how far that word map
     is from a bijective adjoint-preserving algebra and module isomorphism.
-    Each residual is a certified upper bound (``max_tensor_difference_bound``);
+    Each residual is a certified upper bound (see ``amplification_iso_check``);
     ``pair_count`` also counts the skipped pairs, whose matrix units multiply
     to 0 (residual 0).
     """
@@ -219,32 +218,16 @@ class AmplificationIsoReport:
     pair_count: int
 
 
-def max_tensor_difference_bound(legs, count: int) -> float:
-    """max over i < count of ||A_i - C_i|| ||B_i|| + ||C_i|| ||B_i - D_i||, or 0
-    for none: an upper bound on ||A_i (x) B_i - C_i (x) D_i||, since the
-    difference is (A_i - C_i) (x) B_i + C_i (x) (B_i - D_i) and
-    ||X (x) Y|| = ||X|| ||Y||.  ``legs(i)`` returns the stacks A, B, C, D for
-    an index array ``i`` of ``SVD_BLOCK`` items at most; the four largest
-    singular values of each block come from one batched SVD.
-    """
-    worst = 0.0
-    for start in range(0, count, SVD_BLOCK):
-        norms = _leg_norms(*legs(np.arange(start, min(start + SVD_BLOCK, count))))
-        worst = max(worst, float(np.max(norms[0] * norms[1] + norms[2] * norms[3])))
-    return worst
-
-
-def _leg_norms(a, b, c, d) -> np.ndarray:
-    # A function of its own, so that a block's legs are freed before the next is formed.
-    return np.linalg.svd(np.stack([a - c, b, c, b - d]), compute_uv=False)[..., 0]
-
-
-def _dagger(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().swapaxes(-1, -2)
+def _tensor_difference_bound(a, b, c, d) -> float:
+    """max over rows i of max|a_i - c_i| max|b_i| + max|c_i| max|b_i - d_i|,
+    or 0 for no rows: each row holds the eigenvalues of one leg."""
+    if not len(a):
+        return 0.0
+    sup = [np.abs(x).max(axis=1) for x in (a - c, b, c, b - d)]
+    return float(np.max(sup[0] * sup[1] + sup[2] * sup[3]))
 
 
 def amplification_iso_check(
-    A_generators,
     u,
     xi: BranchFunction,
     eta: BranchFunction,
@@ -253,13 +236,14 @@ def amplification_iso_check(
     seed: int = 0,
     max_pairs: int = 200,
 ) -> AmplificationIsoReport:
-    """Check the amplified isomorphism induced by swapping two root branches.
+    """Check the amplified isomorphism induced by swapping two root branches
+    of the unitary ``u`` over the commutative base it generates.
 
-    Words carry a normal form (root power k < n, base word a, correction
+    Words carry a normal form (root power k < n, base word u**a, correction
     power j < n on the amplification leg, m-by-m matrix unit x); the map
-    sends the k-th root power of the xi-branch root times a to the same
-    power of the eta-branch root times a, twisting the amplification leg by
-    the k-th power of the correction unitary w = (xi/eta)(u).
+    sends the k-th root power of the xi-branch root times u**a to the same
+    power of the eta-branch root times u**a, twisting the amplification leg
+    by the k-th power of the correction unitary w = (xi/eta)(u).
 
     Reported residuals:
       multiplicativity: T on the folded product of two words versus the
@@ -268,21 +252,30 @@ def amplification_iso_check(
       adjoint: T on the folded formal adjoint versus the adjoint of the
         image;
       module: prepending a base word versus multiplying the image by it;
-      word_calculus: the domain-side folding versus honest matrix products,
-        the brute-force oracle for the normal form itself.
+      word_calculus: the domain-side folding versus honest products, the
+        check of the normal form itself.
 
-    A word is (root**k a) (x) w**(twist*k + j) (x) E_x, twist 0 on the domain
-    and 1 on the image, held as index arrays k, a, j, x.  A residual is
-    (A (x) B - C (x) D) (x) E with q-by-q root legs A, C and powers B, D of w,
-    each side an honest product of legs, and E a unit or 0: E_x E_y = 0 when
-    x % m != y // m, and such pairs are skipped.  As ||X (x) E|| = ||X|| ||E||,
-    each residual is ``max_tensor_difference_bound`` of its legs.
+    A word is (root**k u**a) (x) w**(twist*k + j) (x) E_x, twist 0 on the
+    domain and 1 on the image, held as index arrays k, a, j, x.  A residual is
+    (A (x) B - C (x) D) (x) E with E a unit or 0: E_x E_y = 0 when
+    x % m != y // m, and such pairs are skipped.  Every leg A, B, C, D is
+    V diag(.) V† in the eigenbasis V of ``u``, so it is held as a length-q
+    vector of eigenvalues: products are elementwise and adjoints conjugates.
+    With ||X (x) Y|| = ||X|| ||Y|| and ||V diag(x) V†|| <= (1 + δ) max|x|,
+    δ = ||V†V - I|| (exactly 0 on clock bases), each residual is
+    (1 + δ)**2 max over items of max|a - c| max|b| + max|c| max|b - d|.
+    The bound holds for the legs as functions of the decomposition, which
+    reproduces ``u`` only within its reconstruction residual.
 
-    Span dimensions of domain and image words are compared for bijectivity.
-    As w**n = I, the words span (sum_k root**k A) (x) W (x) M_m with
-    W = span{w**j : j < n}: each dimension is two ranks of q*q-entry rows
-    times m**2.  The amplification leg is sampled as correction powers
-    tensor matrix units, the smallest truncation on which the correction acts.
+    The base words are u**a for a = 0, 1, -1, ..., L, -L, each kept when it
+    extends the span of those before it, up to ``MAX_BASE_WORDS``: over any
+    unitary the kept exponents form a contiguous run, so a power is rejected
+    only once the algebra is full.  Span dimensions of domain and image words
+    are compared for bijectivity.  As w**n = I, the words span
+    (sum_k root**k A) (x) W (x) M_m with W = span{w**j : j < n}: each
+    dimension is two ranks of rows of q eigenvalues times m**2.  The
+    amplification leg is sampled as correction powers tensor matrix units,
+    the smallest truncation on which the correction acts.
     """
     if xi.n != eta.n:
         raise ValueError(f"branch orders differ: {xi.n} vs {eta.n}")
@@ -291,27 +284,18 @@ def amplification_iso_check(
     if L < 1:
         raise ValueError("word cap must be at least 1")
     n = xi.n
-    u = as_operator(u)
-    dim = u.shape[0]
     dec = spectral_decompose(u)
-    ident = np.eye(dim, dtype=complex)
+    scale = 1.0 + unitarity_defect(dec.vectors)
+    lam = dec.eigenvalues()
+    xi_pows, eta_pows = (f.root_value(dec.angles) ** np.arange(n)[:, None] for f in (xi, eta))
+    w_pows = branch_quotient(xi, eta)(dec.angles) ** np.arange(2 * n + 1)[:, None]
+    u_pows = lam ** np.arange(2)[:, None]
 
-    def powers(x, count):
-        pows = [ident]
-        for _ in range(count - 1):
-            pows.append(pows[-1] @ x)
-        return np.array(pows)
-
-    xi_pows, eta_pows = (powers(nth_root_branch(u, f, dec=dec), n) for f in (xi, eta))
-    w_pows = powers(correction_unitary(u, xi, eta, dec=dec), 2 * n + 1)
-    u_pows = np.array([ident, u])
-
-    base = [as_operator(g) for g in A_generators]
-    if any(g.shape[0] != dim for g in base):
-        raise ValueError("base generators must share the root unitary's dimension")
-    alphabet = base + [u] + [g.conj().T for g in base] + [u.conj().T]
-    word_basis = Orthonormalizer(MAX_BASE_WORDS, dim * dim, RANK_TOL)
-    a_words = np.concatenate(list(_word_levels(alphabet, L, word_basis, WORD_BUDGET)))
+    # A contiguous run of at most MAX_BASE_WORDS exponents needs none past this.
+    top = min(L, MAX_BASE_WORDS // 2)
+    exponents = np.array([0] + [e * sign for e in range(1, top + 1) for sign in (1, -1)])
+    candidates = lam ** exponents[:, None]
+    a_words = candidates[Orthonormalizer(MAX_BASE_WORDS, dec.dim, RANK_TOL).extend(candidates)]
 
     k, a, j, x = np.indices((n, len(a_words), n, m * m)).reshape(4, -1)
     total = len(k)
@@ -327,52 +311,46 @@ def amplification_iso_check(
     module_words = sample[: max(1, max_pairs // len(acting))]
     actor, target = np.divmod(np.arange(len(acting) * len(module_words)), len(module_words))
 
-    def product_legs(root_pows, twist, i):
+    def product_bound(root_pows, twist):
         """Normal form of s t (root**n = u and w**n = I folded) against the product."""
-        ks, kt, js, jt = k[s[i]], k[t[i]], j[s[i]], j[t[i]]
-        a_s, a_t = a_words[a[s[i]]], a_words[a[t[i]]]
+        ks, kt, js, jt = k[s], k[t], j[s], j[t]
+        a_s, a_t = a_words[a[s]], a_words[a[t]]
         fold, kst = np.divmod(ks + kt, n)
-        return (
-            root_pows[kst] @ (u_pows[fold] @ a_s @ a_t),
+        return _tensor_difference_bound(
+            root_pows[kst] * (u_pows[fold] * a_s * a_t),
             w_pows[twist * kst + (js + jt) % n],
-            (root_pows[ks] @ a_s) @ (root_pows[kt] @ a_t),
-            w_pows[twist * ks + js] @ w_pows[twist * kt + jt],
+            (root_pows[ks] * a_s) * (root_pows[kt] * a_t),
+            w_pows[twist * ks + js] * w_pows[twist * kt + jt],
         )
 
-    def adjoint_legs(i):
-        """Normal form of s† (u† folds into a† when k > 0) against the image's adjoint."""
-        ks, js, a_s = k[sample[i]], j[sample[i]], a_words[a[sample[i]]]
-        ka, ja = (n - ks) % n, (n - js) % n
-        a_adj = _dagger(u_pows)[np.minimum(ks, 1)] @ _dagger(a_s)
-        image = eta_pows[ks] @ a_s, w_pows[ks + js]
-        return eta_pows[ka] @ a_adj, w_pows[ka + ja], *map(_dagger, image)
-
-    def module_legs(i):
-        """Image of the word g s against (g (x) I) times the image of s."""
-        ws, g_i = module_words[target[i]], acting[actor[i]]
-        root_b, a_b, w_pow = eta_pows[k[ws]], a_words[a[ws]], w_pows[k[ws] + j[ws]]
-        return (g_i @ root_b) @ a_b, w_pow, g_i @ (root_b @ a_b), w_pow
-
-    mult_res, calc_res = (
-        max_tensor_difference_bound(partial(product_legs, root_pows, twist), len(s))
-        for root_pows, twist in ((eta_pows, 1), (xi_pows, 0))
+    # Normal form of s† (u† folds into a† when k > 0) against the image's adjoint.
+    ks, js, a_s = k[sample], j[sample], a_words[a[sample]]
+    ka, ja = (n - ks) % n, (n - js) % n
+    a_adj = (u_pows[np.minimum(ks, 1)] * a_s).conj()
+    adjoint_res = _tensor_difference_bound(
+        eta_pows[ka] * a_adj, w_pows[ka + ja], (eta_pows[ks] * a_s).conj(), w_pows[ks + js].conj()
     )
-    w_span = Orthonormalizer(n, dim * dim, RANK_TOL)
-    w_span.extend(w_pows[:n].reshape(n, -1))
+    # Image of the word g s against (g (x) I) times the image of s.
+    ws, g = module_words[target], acting[actor]
+    root_b, a_b, w_pow = eta_pows[k[ws]], a_words[a[ws]], w_pows[k[ws] + j[ws]]
+    module_res = _tensor_difference_bound((g * root_b) * a_b, w_pow, g * (root_b * a_b), w_pow)
+
+    w_span = Orthonormalizer(n, dec.dim, RANK_TOL)
+    w_span.extend(w_pows[:n])
     span_dims = []
     for root_pows in (xi_pows, eta_pows):
-        # Rank rows go in one root power at a time, n*|a| rows of q*q entries in all.
-        rows = Orthonormalizer(n * len(a_words), dim * dim, RANK_TOL)
+        # Rank rows go in one root power at a time, n*|a| rows of q entries in all.
+        rows = Orthonormalizer(n * len(a_words), dec.dim, RANK_TOL)
         for p in root_pows:
-            rows.extend((p @ a_words).reshape(len(a_words), -1))
+            rows.extend(p * a_words)
         span_dims.append(rows.count * w_span.count * m * m)
     dom_dim, img_dim = span_dims
     return AmplificationIsoReport(
-        multiplicativity_residual=mult_res,
-        adjoint_residual=max_tensor_difference_bound(adjoint_legs, len(sample)),
-        module_residual=max_tensor_difference_bound(module_legs, len(actor)),
-        word_calculus_residual=calc_res,
-        correction_order_residual=operator_norm(w_pows[n] - ident),
+        multiplicativity_residual=scale**2 * product_bound(eta_pows, 1),
+        adjoint_residual=scale**2 * adjoint_res,
+        module_residual=scale**2 * module_res,
+        word_calculus_residual=scale**2 * product_bound(xi_pows, 0),
+        correction_order_residual=scale * float(np.abs(w_pows[n] - 1).max()),
         domain_span_dim=dom_dim,
         image_span_dim=img_dim,
         span_dims_equal=dom_dim == img_dim,

@@ -106,7 +106,7 @@ def _shift_relation_residual(d: np.ndarray, phase: float) -> float:
 
     The difference is monomial, with the entries d_i - w d_{i-1} at (i, i-1),
     so its norm is their largest modulus."""
-    return float(np.abs(d - np.exp(2j * np.pi * phase) * np.roll(d, 1)).max())
+    return float(np.abs(d - np.exp(2j * np.pi * phase) * np.roll(d, 1, axis=0)).max())
 
 
 def _diagonal_order_residual(d: np.ndarray, n: int) -> float:

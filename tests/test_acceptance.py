@@ -183,7 +183,7 @@ def test_criterion_7_generated_algebra_spans():
 
 
 def test_criterion_8_amplification_map():
-    """Branch-swap map on amplified words: dim <= 64, m <= 4, L <= 4, commutative base."""
+    """Branch-swap map on amplified words: dim <= 128, m <= 4, L <= 4, commutative base."""
     start = time.perf_counter()
     grid = [
         (2, 2, 3, 2),
@@ -197,6 +197,7 @@ def test_criterion_8_amplification_map():
         (16, 4, 4, 2),
         (32, 4, 4, 2),
         (64, 4, 4, 2),
+        (128, 4, 4, 2),
     ]
     worst = 0.0
     worst_oracle = 0.0
@@ -206,7 +207,7 @@ def test_criterion_8_amplification_map():
         u = clock_matrix(1, q)
         xi = BranchFunction.principal(n)
         eta = BranchFunction.with_flipped_arc(n, -0.1, 0.1)  # flips eigenangle 0
-        iso = amplification_iso_check([], u, xi, eta, m, L, seed=q)
+        iso = amplification_iso_check(u, xi, eta, m, L, seed=q)
         worst = max(
             worst,
             iso.multiplicativity_residual,

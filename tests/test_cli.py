@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from nclab.cli import (
     KINDS,
     MAX_NUMERATOR,
-    MAX_SPAN_BASIS_BYTES,
     MAX_SPAN_DIM,
     ConfigError,
     emit_report,
@@ -285,13 +284,22 @@ class TestRunExperiment:
             parse_config({"kind": "span", "parameters": {"p": 1, "q": 33}})
 
     def test_lemma_iso_memory_guard_at_its_limit(self):
-        # n * |a| rank rows of q**2 complex128 entries, |a| = 24 base words at
-        # word_cap 12: 42 rows per base word fit 256 MiB at q=128, 43 do not.
-        assert 16 * 42 * 24 * 128**2 <= MAX_SPAN_BASIS_BYTES < 16 * 43 * 24 * 128**2
+        # The word guard bounds memory too: at q=128 and word_cap 12 (|a| = 24
+        # base words), n=91 gives 198,744 amplified words and n=92 203,136.
+        assert 24 * 91**2 <= WORD_BUDGET < 24 * 92**2
         params = {"p": 1, "q": 128, "word_cap": 12, "m": 1}
-        parse_config({"kind": "lemma_iso", "parameters": {**params, "n": 42}})
-        with pytest.raises(ConfigError, match="MiB"):
-            parse_config({"kind": "lemma_iso", "parameters": {**params, "n": 43}})
+        (cfg,), _ = parse_config({"kind": "lemma_iso", "parameters": {**params, "n": 91}})
+        with pytest.raises(ConfigError, match="amplified words"):
+            parse_config({"kind": "lemma_iso", "parameters": {**params, "n": 92}})
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Index arrays of the words and n*|a| rank rows of q entries: 18 MiB.
+        assert peak < 32 * 2**20
+        assert report["details"]["word_count"] == 24 * 91**2
 
     def test_lemma_iso_word_guard_at_its_limit(self):
         # n=2 and 2 base words at q=2: 8 * m**2 amplified words.
@@ -389,8 +397,8 @@ class TestMainExitCodes:
         assert "config error" in capsys.readouterr().err
 
     def test_lemma_iso_at_the_dimension_limit(self, tmp_path, capsys):
-        """lemma_iso at q=128 with the default n=2, m=2, word_cap=3: 2.8 s and a
-        56 MiB tracemalloc peak on one core."""
+        """lemma_iso at q=128 with the default n=2, m=2, word_cap=3: 0.02 s and a
+        4.4 MiB tracemalloc peak on one core."""
         cfg = write_config(tmp_path, {"kind": "lemma_iso", "parameters": {"p": 1, "q": 128}})
         tracemalloc.start()
         try:

@@ -23,13 +23,7 @@ from nclab import (
     spectral_decompose,
 )
 from nclab.operators import Orthonormalizer
-from nclab.spans import (
-    RANK_TOL,
-    SVD_BLOCK,
-    WORD_BUDGET,
-    _word_levels,
-    max_tensor_difference_bound,
-)
+from nclab.spans import RANK_TOL, WORD_BUDGET, _word_levels
 
 
 def _kron3(a, b, c):
@@ -247,39 +241,6 @@ def two_leg_oracle(A_generators, u, xi, eta, m, L, seed=0, max_pairs=200) -> dic
     }
 
 
-class TestMaxTensorDifferenceBound:
-    @pytest.mark.parametrize("where", [0, SVD_BLOCK - 1, SVD_BLOCK + 3, 2 * SVD_BLOCK + 1])
-    def test_largest_in_any_block(self, where):
-        # B = D = I: each term is ||A - C||, and the largest sits in the first,
-        # middle or last block.
-        rng = np.random.default_rng(where)
-        count = 2 * SVD_BLOCK + 2
-        a = rng.standard_normal((count, 5, 5)) + 1j * rng.standard_normal((count, 5, 5))
-        c = a + 1e-3 * rng.standard_normal((count, 5, 5))
-        c[where] += np.eye(5)
-        eye = np.broadcast_to(np.eye(5, dtype=complex), a.shape)
-        expected = max(operator_norm(x - y) for x, y in zip(a, c))
-        assert operator_norm(a[where] - c[where]) == expected
-        bound = max_tensor_difference_bound(lambda i: (a[i], eye[i], c[i], eye[i]), count)
-        assert abs(bound - expected) <= 1e-12
-
-    def test_no_items(self):
-        assert max_tensor_difference_bound(lambda i: pytest.fail("no legs to form"), 0) == 0.0
-
-    def test_bounds_the_tensor_difference(self):
-        rng = np.random.default_rng(7)
-        a, b, c, d = rng.standard_normal((4, 20, 3, 3)) + 1j * rng.standard_normal((4, 20, 3, 3))
-        terms = [
-            operator_norm(a[i] - c[i]) * operator_norm(b[i])
-            + operator_norm(c[i]) * operator_norm(b[i] - d[i])
-            for i in range(20)
-        ]
-        bound = max_tensor_difference_bound(lambda i: (a[i], b[i], c[i], d[i]), 20)
-        assert abs(bound - max(terms)) <= 1e-12 * max(terms)
-        honest = max(operator_norm(np.kron(a[i], b[i]) - np.kron(c[i], d[i])) for i in range(20))
-        assert honest <= bound
-
-
 class TestGenerateSpan:
     def test_identity_generator(self):
         span = generate_span([np.eye(3)], 5)
@@ -412,7 +373,7 @@ class TestAmplificationIso:
     def test_equal_branches_identity_map(self):
         u = clock_matrix(1, 3)
         xi = BranchFunction.principal(2)
-        iso = amplification_iso_check([], u, xi, xi, 2, 3)
+        iso = amplification_iso_check(u, xi, xi, 2, 3)
         assert iso.multiplicativity_residual < 1e-12
         assert iso.adjoint_residual < 1e-12
         assert iso.module_residual < 1e-12
@@ -425,7 +386,7 @@ class TestAmplificationIso:
         eta = BranchFunction.with_flipped_arc(2, 0.5, 1.5)
         w = correction_unitary(u, xi, eta)
         assert np.allclose(np.diag(w), [-1.0, 1.0])
-        iso = amplification_iso_check([], u, xi, eta, 2, 3)
+        iso = amplification_iso_check(u, xi, eta, 2, 3)
         assert iso.multiplicativity_residual < 1e-9
         assert iso.adjoint_residual < 1e-9
         assert iso.module_residual < 1e-9
@@ -435,12 +396,14 @@ class TestAmplificationIso:
         rep = clock_shift(TorusParams(1, 2))
         xi = BranchFunction.principal(2)
         eta = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
-        iso = amplification_iso_check([rep.V], rep.U, xi, eta, 2, 3)
+        # The check takes the commutative base of u only; the dense oracle
+        # takes any base.
+        iso = amplification_iso_oracle([rep.V], rep.U, xi, eta, 2, 3)
         # the word rewriting genuinely fails for a noncommuting base...
-        assert iso.multiplicativity_residual > 0.01
+        assert iso["multiplicativity_residual"] > 0.01
         # ...but the left-module property survives: the correction only
         # touches the amplification leg
-        assert iso.module_residual < 1e-8
+        assert iso["module_residual"] < 1e-8
 
     def test_word_count_counts_each_power_once(self):
         # clock(3, 11) has 11 distinct powers and words of length <= 5 reach
@@ -449,7 +412,7 @@ class TestAmplificationIso:
         u = clock_matrix(3, 11)
         xi = BranchFunction.principal(2)
         eta = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
-        iso = amplification_iso_check([], u, xi, eta, 1, 5)
+        iso = amplification_iso_check(u, xi, eta, 1, 5)
         assert iso.word_count == 2 * 2 * 1 * 11
         assert iso.span_dims_equal
 
@@ -457,22 +420,22 @@ class TestAmplificationIso:
         u = clock_matrix(1, 5)
         xi = BranchFunction.principal(3)
         eta = BranchFunction.with_flipped_arc(3, -0.5, 1.0, k=2)
-        iso = amplification_iso_check([], u, xi, eta, 2, 2)
+        iso = amplification_iso_check(u, xi, eta, 2, 2)
         assert iso.correction_order_residual < 1e-12
 
     def test_word_calculus_oracle(self):
         u = clock_matrix(1, 4)
         xi = BranchFunction.principal(2)
         eta = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
-        iso = amplification_iso_check([], u, xi, eta, 2, 3)
+        iso = amplification_iso_check(u, xi, eta, 2, 3)
         assert iso.word_calculus_residual < 1e-12
 
     def test_deterministic_given_seed(self):
         u = clock_matrix(1, 4)
         xi = BranchFunction.principal(2)
         eta = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
-        a = amplification_iso_check([], u, xi, eta, 2, 3, seed=5)
-        b = amplification_iso_check([], u, xi, eta, 2, 3, seed=5)
+        a = amplification_iso_check(u, xi, eta, 2, 3, seed=5)
+        b = amplification_iso_check(u, xi, eta, 2, 3, seed=5)
         assert a == b
 
     @settings(max_examples=20, deadline=None)
@@ -495,15 +458,27 @@ class TestAmplificationIso:
         rng = np.random.default_rng(seed)
         rep = clock_shift(TorusParams(1, q))
         u = random_unitary(q, rng) if random_root else rep.U
-        base = [rep.V] if noncommuting else []
         xi, eta = BranchFunction.random(n, rng), BranchFunction.random(n, rng)
-        iso = amplification_iso_check(base, u, xi, eta, m, L, seed=seed, max_pairs=max_pairs)
-        oracle = amplification_iso_oracle(base, u, xi, eta, m, L, seed=seed, max_pairs=max_pairs)
+        args = (u, xi, eta, m, L)
+        if noncommuting:
+            # No check takes a noncommuting base: the oracles check each other,
+            # the three-leg residual being the largest honest two-leg one.
+            two_leg = two_leg_oracle([rep.V], *args, seed=seed, max_pairs=max_pairs)
+            reference = {
+                key: max((honest for honest, _, _ in value), default=0.0)
+                if key.endswith("_residual") else value
+                for key, value in two_leg.items()
+            }
+            base = [rep.V]
+        else:
+            reference = vars(amplification_iso_check(*args, seed=seed, max_pairs=max_pairs))
+            base = []
+        oracle = amplification_iso_oracle(base, *args, seed=seed, max_pairs=max_pairs)
         for key, expected in oracle.items():
             if key.endswith("_residual"):
-                assert abs(getattr(iso, key) - expected) <= 1e-12, key
+                assert abs(reference[key] - expected) <= 1e-12, key
             else:
-                assert getattr(iso, key) == expected, key
+                assert reference[key] == expected, key
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -527,15 +502,20 @@ class TestAmplificationIso:
         rng = np.random.default_rng(seed)
         rep = clock_shift(TorusParams(1, q))
         u = random_unitary(q, rng) if random_root else rep.U
-        base = [rep.V] if noncommuting else []
         xi, eta = BranchFunction.random(n, rng), BranchFunction.random(n, rng)
-        iso = amplification_iso_check(base, u, xi, eta, m, L, seed=seed, max_pairs=max_pairs)
-        oracle = two_leg_oracle(base, u, xi, eta, m, L, seed=seed, max_pairs=max_pairs)
+        args = (u, xi, eta, m, L)
+        base = [rep.V] if noncommuting else []
+        oracle = two_leg_oracle(base, *args, seed=seed, max_pairs=max_pairs)
+        # No check takes a noncommuting base: there only the oracle's lower
+        # bound is checked.
+        iso = None
+        if not noncommuting:
+            iso = amplification_iso_check(*args, seed=seed, max_pairs=max_pairs)
         for key, expected in oracle.items():
             if not key.endswith("_residual"):
-                assert getattr(iso, key) == expected, key
+                assert iso is None or getattr(iso, key) == expected, key
                 continue
-            reported = getattr(iso, key)
+            reported = np.inf if iso is None else getattr(iso, key)
             for honest, lower, scale in expected:
                 slack = 4 * q * q * np.finfo(float).eps * scale
                 assert lower - slack <= honest <= reported + slack, key
@@ -548,7 +528,7 @@ class TestAmplificationIso:
         eta = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
         tracemalloc.start()
         try:
-            iso = amplification_iso_check([], u, xi, eta, 4, 4, seed=12)
+            iso = amplification_iso_check(u, xi, eta, 4, 4, seed=12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -559,11 +539,11 @@ class TestAmplificationIso:
     def test_rejects_unequal_orders(self):
         with pytest.raises(ValueError, match="orders differ"):
             amplification_iso_check(
-                [], np.eye(2), BranchFunction.principal(2), BranchFunction.principal(3), 2, 2
+                np.eye(2), BranchFunction.principal(2), BranchFunction.principal(3), 2, 2
             )
 
     def test_rejects_bad_amplification(self):
         with pytest.raises(ValueError, match="amplification"):
             amplification_iso_check(
-                [], np.eye(2), BranchFunction.principal(2), BranchFunction.principal(2), 0, 2
+                np.eye(2), BranchFunction.principal(2), BranchFunction.principal(2), 0, 2
             )
