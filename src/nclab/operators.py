@@ -202,9 +202,20 @@ def _canonical_cluster_basis(vectors: np.ndarray, clusters: list[list[int]]) -> 
     project the standard basis onto the eigenspace and orthonormalize in
     index order.  Fixes all eigenvector phase/rotation freedom.  Row j of
     ``vc.conj()`` is that projection of e_j in the orthonormal columns ``vc``.
+
+    For a simple eigenvalue this is one phase fix, taken for every singleton
+    cluster at once: the column times conj(v_j)/|v_j| for its first entry v_j
+    of modulus at least 1e-10, which that entry then makes real and positive.
     """
     out = vectors.copy()
+    singles = [idx[0] for idx in clusters if len(idx) == 1]
+    if singles:
+        cols = vectors[:, singles]
+        lead = cols[np.argmax(np.abs(cols) >= 1e-10, axis=0), np.arange(len(singles))]
+        out[:, singles] = cols * (lead.conj() / np.abs(lead))
     for idx in clusters:
+        if len(idx) == 1:
+            continue
         vc = vectors[:, idx]
         coords = Orthonormalizer(len(idx), len(idx), 1e-10)
         coords.extend(vc.conj())
@@ -214,18 +225,29 @@ def _canonical_cluster_basis(vectors: np.ndarray, clusters: list[list[int]]) -> 
     return out
 
 
+def _is_diagonal(u: np.ndarray) -> bool:
+    """True when ``u`` has no nonzero entry off its diagonal."""
+    return np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
+
+
 def spectral_decompose(u) -> SpectralDecomposition:
     """Orthonormal eigendecomposition of a unitary.
 
     Uses the complex Schur form (diagonal for normal matrices) so the
     eigenbasis is orthonormal by construction, then sorts angles ascending
     and canonicalizes the basis within each degeneracy cluster against the
-    standard basis.  Rejects inputs whose unitarity defect exceeds
-    ``TOL_UNITARY``; the output reproduces the input within ``TOL_SPECTRAL``.
+    standard basis.  A diagonal ``u``, such as every clock matrix, is its own
+    Schur form: its eigenvalues are its diagonal and its Schur vectors the
+    identity, with no call to Schur.  Rejects inputs whose unitarity defect
+    exceeds ``TOL_UNITARY``; the output reproduces the input within
+    ``TOL_SPECTRAL``.
     """
     u = require_unitary(u)
-    t, z = la.schur(u, output="complex")
-    eig = np.diag(t)
+    if _is_diagonal(u):
+        eig, z = np.diagonal(u), np.eye(len(u), dtype=complex)
+    else:
+        t, z = la.schur(u, output="complex")
+        eig = np.diag(t)
     eig = eig / np.abs(eig)
     angles = _normalize_angles(np.angle(eig))
     order = np.argsort(angles, kind="stable")

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 import time
 import tracemalloc
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nclab.operators
 from nclab.cli import (
     KINDS,
     MAX_NUMERATOR,
@@ -466,6 +468,19 @@ class TestMainExitCodes:
         beyond = {"kind": kind, "parameters": {"p": sign * (MAX_NUMERATOR + 1), "q": 3}}
         assert main(["run", write_config(tmp_path, beyond)]) == 2
         assert "'p' must be in" in capsys.readouterr().err
+
+    def test_no_run_calls_schur(self, tmp_path, capsys, monkeypatch):
+        # Every CLI kind decomposes a clock, which is diagonal: the README
+        # config and the largest tower and lemma_iso runs never reach Schur.
+        def schur(*args, **kwargs):
+            raise AssertionError("Schur called on a CLI path")
+
+        monkeypatch.setattr(nclab.operators.la, "schur", schur)
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        lemma = {"kind": "lemma_iso", "parameters": {"p": 1, "q": 128}}
+        for data in (config, DEEP_TOWER, lemma):
+            assert main(["run", write_config(tmp_path, data), "--format", "csv"]) == 0
 
     def test_invalid_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

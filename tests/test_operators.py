@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nclab import (
     BranchFunction,
+    operators,
     apply_circle_function,
     circle_function_distance,
     clock_matrix,
@@ -151,6 +152,52 @@ class TestHsInner:
             hs_inner(np.eye(2), np.eye(3))
 
 
+# Phases a diagonal draw repeats: both sides of the cut at +-pi, the window's
+# edge, and the wraparound pair of test_wraparound_cluster.
+EDGE_PHASES = st.sampled_from([np.pi, -np.pi, np.pi - CUT_WINDOW, -np.pi + 1e-10, 0.0])
+
+
+@st.composite
+def diagonal_unitaries(draw):
+    """clock(p, q) for |p| <= 2**53, coprime or not, or a diagonal unitary
+    whose entries repeat a few drawn phases."""
+    q = draw(st.integers(1, 128))
+    if draw(st.booleans()):
+        return clock_matrix(draw(st.integers(-(2**53), 2**53)), q)
+    phases = draw(st.lists(EDGE_PHASES | st.floats(-np.pi, np.pi), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(phases) - 1), min_size=q, max_size=q))
+    return np.diag(np.exp(1j * np.array(phases)[picks]))
+
+
+class TestDiagonalSchurForm:
+    """A diagonal unitary is decomposed without Schur, bitwise as Schur's path
+    decomposes it: the Schur path, forced, stays the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(diagonal_unitaries())
+    @example(np.diag(np.exp(1j * np.array([np.pi, -np.pi + 1e-10, 0.0]))))
+    @example(clock_matrix(2**53, 128))
+    @example(clock_matrix(-(2**53), 96))
+    def test_matches_the_schur_path(self, u):
+        with mock.patch.object(operators.la, "schur", wraps=operators.la.schur) as schur:
+            d = spectral_decompose(u)
+            schur.assert_not_called()
+            with mock.patch.object(operators, "_is_diagonal", return_value=False):
+                reference = spectral_decompose(u)
+            schur.assert_called_once()
+        assert np.array_equal(d.angles, reference.angles)
+        assert np.array_equal(d.vectors, reference.vectors)
+        assert d.clusters == reference.clusters
+
+    def test_one_off_diagonal_entry_takes_schur(self):
+        u = np.eye(3, dtype=complex)
+        u[:2, :2] = [[0, 1], [1, 0]]
+        with mock.patch.object(operators.la, "schur", wraps=operators.la.schur) as schur:
+            d = spectral_decompose(u)
+        schur.assert_called_once()
+        assert operator_norm(d.reconstruct() - u) < 1e-14
+
+
 class TestSpectralDecompose:
     def test_already_diagonal(self):
         d = spectral_decompose(np.diag([1.0, 1j, -1.0]))
@@ -222,6 +269,23 @@ class TestSpectralDecompose:
             d = spectral_decompose(u)
             assert operator_norm(d.reconstruct() - u) < 1e-8
             assert operator_norm(d.vectors.conj().T @ d.vectors - np.eye(dim)) < 1e-8
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 33, 64])
+    def test_singleton_phase_convention(self, dim):
+        # Each simple eigenvector's first entry of modulus >= 1e-10 is real and
+        # positive, and v v† is the eigenprojection, here from numpy's eig.
+        u = random_unitary(dim, np.random.default_rng(dim))
+        d = spectral_decompose(u)
+        values, vectors = np.linalg.eig(u)
+        singles = [idx[0] for idx in d.clusters if len(idx) == 1]
+        assert len(singles) == dim
+        for j in singles:
+            v = d.vectors[:, j]
+            lead = v[np.flatnonzero(np.abs(v) >= 1e-10)[0]]
+            assert lead.real > 0 and abs(lead.imag) <= EPS * lead.real
+            w = vectors[:, np.argmin(np.abs(values - np.exp(1j * d.angles[j])))]
+            w = w / np.linalg.norm(w)
+            assert operator_norm(np.outer(v, v.conj()) - np.outer(w, w.conj())) < 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
