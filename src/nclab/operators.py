@@ -209,10 +209,9 @@ def _canonical_cluster_basis(vectors: np.ndarray, clusters: list[list[int]]) -> 
     """
     out = vectors.copy()
     singles = [idx[0] for idx in clusters if len(idx) == 1]
-    if singles:
-        cols = vectors[:, singles]
-        lead = cols[np.argmax(np.abs(cols) >= 1e-10, axis=0), np.arange(len(singles))]
-        out[:, singles] = cols * (lead.conj() / np.abs(lead))
+    cols = vectors[:, singles]
+    lead = cols[np.argmax(np.abs(cols) >= 1e-10, axis=0), np.arange(len(singles))]
+    out[:, singles] = cols * (lead.conj() / np.abs(lead))
     for idx in clusters:
         if len(idx) == 1:
             continue

@@ -189,14 +189,6 @@ class TestDiagonalSchurForm:
         assert np.array_equal(d.vectors, reference.vectors)
         assert d.clusters == reference.clusters
 
-    def test_one_off_diagonal_entry_takes_schur(self):
-        u = np.eye(3, dtype=complex)
-        u[:2, :2] = [[0, 1], [1, 0]]
-        with mock.patch.object(operators.la, "schur", wraps=operators.la.schur) as schur:
-            d = spectral_decompose(u)
-        schur.assert_called_once()
-        assert operator_norm(d.reconstruct() - u) < 1e-14
-
 
 class TestSpectralDecompose:
     def test_already_diagonal(self):
