@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from nclab import (
     BranchFunction,
-    operators,
     apply_circle_function,
     circle_function_distance,
     clock_matrix,
     hs_inner,
     nth_root_branch,
     operator_norm,
+    operators,
     random_unitary,
     shift_matrix,
     spectral_decompose,
