@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
+
+# scipy.linalg is imported where Schur runs, so no CLI run loads it.  Its import
+# used to free a large buffer, which raises glibc's dynamic mmap and trim
+# thresholds; without that, the levels**2 * q temporaries of
+# towers.max_level_independence (about 337 KiB at q = 32, depth 20) went back
+# to the OS and faulted in again on every call.  Freeing one untouched 1 MiB
+# buffer raises both thresholds past them.
+np.empty(1 << 17)
 
 # Tolerances of the spectral calculus.
 TOL_UNITARY = 1e-10
@@ -237,7 +244,8 @@ def spectral_decompose(u) -> SpectralDecomposition:
     and canonicalizes the basis within each degeneracy cluster against the
     standard basis.  A diagonal ``u``, such as every clock matrix, is its own
     Schur form: its eigenvalues are its diagonal and its Schur vectors the
-    identity, with no call to Schur.  Rejects inputs whose unitarity defect
+    identity, with no call to Schur.  scipy is imported on the Schur path
+    only, on the first non-diagonal input.  Rejects inputs whose unitarity defect
     exceeds ``TOL_UNITARY``; the output reproduces the input within
     ``TOL_SPECTRAL``.
     """
@@ -245,6 +253,8 @@ def spectral_decompose(u) -> SpectralDecomposition:
     if _is_diagonal(u):
         eig, z = np.diagonal(u), np.eye(len(u), dtype=complex)
     else:
+        import scipy.linalg as la
+
         t, z = la.schur(u, output="complex")
         eig = np.diag(t)
     eig = eig / np.abs(eig)

@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -12,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nclab.operators
 from nclab.cli import (
     KINDS,
     MAX_NUMERATOR,
@@ -30,6 +32,7 @@ from nclab.cli import (
     run_config,
     run_experiment,
 )
+from nclab.operators import TOL_SPECTRAL
 from nclab.spans import WORD_BUDGET
 from nclab.towers import MAX_TOWER_DEPTH
 
@@ -475,12 +478,41 @@ class TestMainExitCodes:
         def schur(*args, **kwargs):
             raise AssertionError("Schur called on a CLI path")
 
-        monkeypatch.setattr(nclab.operators.la, "schur", schur)
+        monkeypatch.setattr(scipy.linalg, "schur", schur)
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
         lemma = {"kind": "lemma_iso", "parameters": {"p": 1, "q": 128}}
         for data in (config, DEEP_TOWER, lemma):
             assert main(["run", write_config(tmp_path, data), "--format", "csv"]) == 0
+
+    def test_no_run_imports_scipy(self, tmp_path):
+        # In a fresh interpreter: the README config and a depth-20 tower at
+        # q = 32 leave scipy.linalg unloaded; the first non-diagonal
+        # decomposition loads it and still reconstructs its input.
+        script = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from nclab.cli import main
+from nclab.operators import operator_norm, random_unitary, spectral_decompose
+codes = [main(["run", path, "--format", "csv"]) for path in sys.argv[2:]]
+after_runs = "scipy.linalg" in sys.modules
+u = random_unitary(4, np.random.default_rng(0))
+residual = operator_norm(spectral_decompose(u).reconstruct() - u)
+print(json.dumps([codes, after_runs, "scipy.linalg" in sys.modules, residual]))
+"""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        tower = {"kind": "tower", "parameters": {"p": 3, "q": 32, "depth": 20}}
+        paths = [write_config(tmp_path, data, f"{i}.json") for i, data in enumerate((config, tower))]
+        src = Path(__file__).parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script, str(src), *paths],
+                              capture_output=True, text=True, timeout=120, check=True)
+        codes, after_runs, after_schur, residual = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert not after_runs
+        assert after_schur
+        assert residual <= TOL_SPECTRAL
 
     def test_invalid_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -179,7 +180,7 @@ class TestDiagonalSchurForm:
     @example(clock_matrix(2**53, 128))
     @example(clock_matrix(-(2**53), 96))
     def test_matches_the_schur_path(self, u):
-        with mock.patch.object(operators.la, "schur", wraps=operators.la.schur) as schur:
+        with mock.patch.object(scipy.linalg, "schur", wraps=scipy.linalg.schur) as schur:
             d = spectral_decompose(u)
             schur.assert_not_called()
             with mock.patch.object(operators, "_is_diagonal", return_value=False):
