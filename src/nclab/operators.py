@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.linalg is imported where Schur runs, so no CLI run loads it.  Its import
-# used to free a large buffer, which raises glibc's dynamic mmap and trim
-# thresholds; without that, the levels**2 * q temporaries of
-# towers.max_level_independence (about 337 KiB at q = 32, depth 20) went back
-# to the OS and faulted in again on every call.  Freeing one untouched 1 MiB
-# buffer raises both thresholds past them.
+# Freeing one untouched 1 MiB buffer raises glibc's dynamic mmap and trim
+# thresholds past the levels**2 * q temporaries of
+# towers.max_level_independence (a 220 KiB complex difference and its 110 KiB
+# modulus at q = 32, depth 20), which would otherwise go back to the OS and
+# fault in again on every call.  The scipy.linalg import does the same as a
+# side effect, but it is imported only where Schur runs, and no CLI run
+# reaches Schur.
 np.empty(1 << 17)
 
 # Tolerances of the spectral calculus.
@@ -245,8 +246,8 @@ def spectral_decompose(u) -> SpectralDecomposition:
     standard basis.  A diagonal ``u``, such as every clock matrix, is its own
     Schur form: its eigenvalues are its diagonal and its Schur vectors the
     identity, with no call to Schur.  scipy is imported on the Schur path
-    only, on the first non-diagonal input.  Rejects inputs whose unitarity defect
-    exceeds ``TOL_UNITARY``; the output reproduces the input within
+    only, on the first non-diagonal input.  Rejects inputs whose unitarity
+    defect exceeds ``TOL_UNITARY``; the output reproduces the input within
     ``TOL_SPECTRAL``.
     """
     u = require_unitary(u)

@@ -36,6 +36,8 @@ from nclab.operators import TOL_SPECTRAL
 from nclab.spans import WORD_BUDGET
 from nclab.towers import MAX_TOWER_DEPTH
 
+ROOT = Path(__file__).parents[1]
+
 FLIPPED_BRANCH = {
     "n": 2,
     "arcs": [
@@ -166,6 +168,12 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def readme_config():
+    """The example config of the README."""
+    readme = (ROOT / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
 
 
 class TestParseConfig:
@@ -479,8 +487,7 @@ class TestMainExitCodes:
             raise AssertionError("Schur called on a CLI path")
 
         monkeypatch.setattr(scipy.linalg, "schur", schur)
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        config = readme_config()
         lemma = {"kind": "lemma_iso", "parameters": {"p": 1, "q": 128}}
         for data in (config, DEEP_TOWER, lemma):
             assert main(["run", write_config(tmp_path, data), "--format", "csv"]) == 0
@@ -501,12 +508,10 @@ u = random_unitary(4, np.random.default_rng(0))
 residual = operator_norm(spectral_decompose(u).reconstruct() - u)
 print(json.dumps([codes, after_runs, "scipy.linalg" in sys.modules, residual]))
 """
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        config = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        config = readme_config()
         tower = {"kind": "tower", "parameters": {"p": 3, "q": 32, "depth": 20}}
         paths = [write_config(tmp_path, data, f"{i}.json") for i, data in enumerate((config, tower))]
-        src = Path(__file__).parents[1] / "src"
-        proc = subprocess.run([sys.executable, "-c", script, str(src), *paths],
+        proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"), *paths],
                               capture_output=True, text=True, timeout=120, check=True)
         codes, after_runs, after_schur, residual = json.loads(proc.stdout.splitlines()[-1])
         assert codes == [0, 0]
