@@ -139,14 +139,14 @@ class CompactFunction:
 class RootTower:
     """Square-root tower u_0, u_1, ..., u_L with u_k**2 = u_{k-1}.
 
-    ``unitaries[k]`` is level k (level 0 is the base); ``residuals[k-1]``
-    records ||u_k**2 - u_{k-1}||.  All levels share the eigenvectors V of
+    No level is stored as a matrix.  All levels share the eigenvectors V of
     ``base``, the base's spectral decomposition; ``angles[k]`` holds level k's
-    eigenangles on (-pi, pi] in its column order.  ``basis_defect`` is
+    eigenangles on (-pi, pi] in its column order, and ``level(k)`` forms
+    u_k = V diag(e^{i angles[k]}) V† on demand.  ``residuals[k-1]`` bounds
+    ||u_k**2 - u_{k-1}|| (see :func:`build_tower`).  ``basis_defect`` is
     ||V†V - I||, V's roundoff from unitarity (0 on a clock base's permutation).
     """
 
-    unitaries: list[np.ndarray]
     branches: list[BranchFunction]
     residuals: list[float]
     base: SpectralDecomposition
@@ -155,20 +155,19 @@ class RootTower:
 
     @property
     def depth(self) -> int:
-        return len(self.unitaries) - 1
+        return len(self.angles) - 1
 
     @property
     def dim(self) -> int:
-        return self.unitaries[0].shape[0]
+        return self.base.dim
 
     def level(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.depth:
-            raise ValueError(f"level {k} outside 0..{self.depth}")
-        return self.unitaries[k]
+        """Level k as a dense matrix, reconstructed from the shared eigenbasis."""
+        return self.decomposition(k).reconstruct()
 
     def decomposition(self, k: int) -> SpectralDecomposition:
         """Level k on the shared eigenbasis: the base's vectors and clusters, level k's angles."""
-        self.level(k)  # rejects a level outside the tower
+        _require_level(self, k)
         return replace(self.base, angles=self.angles[k])
 
 
@@ -184,6 +183,14 @@ def build_tower(
     of length ``depth``; each level is checked to square back onto the one
     below within ``tol_root``.  The base is decomposed once; a level's angles
     are its branch's root angles of the level below, folded into (-pi, pi].
+
+    Level 1's residual is the honest ||u_1 @ u_1 - u|| against the input u,
+    so it carries the base's reconstruction error.  For k >= 2 it is
+    (1 + δ)(max |μ_k**2 - μ_{k-1}| + δ), elementwise on μ_k = e^{i angles[k]}, with
+    δ the ``basis_defect``, which bounds ||u_k**2 - u_{k-1}||, since
+    u_k**2 - u_{k-1} = V (D_k**2 - D_{k-1}) V† + V D_k (V†V - I) D_k V† and
+    ||V X V†|| <= (1 + δ) ||X||; on a clock base (δ = 0) it is the exact
+    elementwise maximum.  No level is formed beyond level 1.
     """
     u = require_unitary(u)
     if depth < 1:
@@ -199,19 +206,28 @@ def build_tower(
         if b.n != 2:
             raise ValueError("tower branches must be square-root branches (order 2)")
     base = spectral_decompose(u)
-    levels = [u]
+    delta = unitarity_defect(base.vectors)
     angles = [base.angles]
     residuals = []
-    for b in branches:
+    for k, b in enumerate(branches, 1):
         a = b.root_angle(angles[-1])
         angles.append(np.where(a > np.pi, a - TWO_PI, a))
-        nxt = replace(base, angles=angles[-1]).reconstruct()
-        residual = operator_norm(nxt @ nxt - levels[-1])
+        if k == 1:
+            # The one honest product: it ties the tower to u.
+            nxt = replace(base, angles=angles[1]).reconstruct()
+            residual = operator_norm(nxt @ nxt - u)
+        else:
+            mu, below = np.exp(1j * angles[k]), np.exp(1j * angles[k - 1])
+            residual = float((1.0 + delta) * (np.abs(mu * mu - below).max() + delta))
         if residual > tol_root:
             raise ArithmeticError(f"tower squaring residual {residual:.3e} exceeds {tol_root:.3e}")
-        levels.append(nxt)
         residuals.append(residual)
-    return RootTower(levels, branches, residuals, base, angles, unitarity_defect(base.vectors))
+    return RootTower(branches, residuals, base, angles, delta)
+
+
+def _require_level(tower: RootTower, k: int) -> None:
+    if not 0 <= k <= tower.depth:
+        raise ValueError(f"level {k} outside 0..{tower.depth}")
 
 
 def _require_embeddable(tower: RootTower, f: CompactFunction, level: int) -> None:
@@ -220,7 +236,7 @@ def _require_embeddable(tower: RootTower, f: CompactFunction, level: int) -> Non
             f"support exceeds tower depth: support exponent {f.support_exponent} "
             f"needs level >= {f.support_exponent}, got {level}"
         )
-    tower.level(level)  # rejects a level outside the tower
+    _require_level(tower, level)
 
 
 def embed_compact_function(tower: RootTower, f: CompactFunction, level: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from nclab import (
     random_unitary,
     shift_matrix,
 )
-from nclab.operators import unitarity_defect
+from nclab.operators import SpectralDecomposition, unitarity_defect
 from nclab.roots import TOL_ROOT
 from nclab.towers import MAX_TOWER_DEPTH
 
@@ -141,6 +141,62 @@ class TestBuildTower:
     def test_rejects_non_square_branch(self):
         with pytest.raises(ValueError, match="order 2"):
             build_tower(np.eye(2), 1, BranchFunction.principal(3))
+
+
+@st.composite
+def bases_and_towers(draw):
+    """A tower (depth <= 12, random branches) over clock(p, q) with |p| <= 2**53
+    and q <= 128, over a random unitary of dimension <= 64, or over one moved
+    off unitarity by 1e-12 per entry, within the unitarity tolerance, so that
+    its decomposition reconstructs it only to about that."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["clock", "random", "nearly unitary"]))
+    if kind == "clock":
+        base = clock_matrix(draw(st.integers(-(2**53), 2**53)), draw(st.integers(1, 128)))
+    else:
+        q = draw(st.integers(1, 64))
+        base = random_unitary(q, rng)
+        if kind == "nearly unitary":
+            base = base + 1e-12 * (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))
+    depth = draw(st.integers(1, 12))
+    tower = build_tower(base, depth, [BranchFunction.random(2, rng) for _ in range(depth)])
+    return kind, base, tower
+
+
+class TestSquaringResiduals:
+    @settings(max_examples=60, deadline=None)
+    @given(bases_and_towers())
+    def test_bound_the_honest_products(self, case):
+        # ||L_k @ L_k - L_{k-1}|| with L_0 = u, the input, and L_k = level(k);
+        # q eps covers the roundoff of the honest product.
+        kind, below, tower = case
+        slack = tower.dim * np.finfo(float).eps
+        for k in range(1, tower.depth + 1):
+            level = tower.level(k)
+            assert operator_norm(level @ level - below) <= tower.residuals[k - 1] + slack, k
+            if kind == "clock" and k >= 2:
+                mu, mu_prev = (np.exp(1j * tower.angles[j]) for j in (k, k - 1))
+                assert tower.residuals[k - 1] == np.abs(mu * mu - mu_prev).max()
+            below = level
+
+    def test_no_level_reconstructed_beyond_the_first(self, monkeypatch):
+        calls = []
+        reconstruct = SpectralDecomposition.reconstruct
+
+        def counted(dec):
+            calls.append(dec)
+            return reconstruct(dec)
+
+        monkeypatch.setattr(SpectralDecomposition, "reconstruct", counted)
+        t = build_tower(clock_matrix(1, 128), MAX_TOWER_DEPTH, PRINCIPAL)
+        # The decomposition's own check and level 1.
+        assert len(calls) <= 2
+        calls.clear()
+        levels = range(t.depth + 1)
+        max_level_independence(t, hat(), [(a, b) for a in levels for b in levels])
+        for k in levels:
+            t.decomposition(k)
+        assert calls == []
 
 
 class TestEmbedCompactFunction:
