@@ -95,6 +95,13 @@ def _read(obj: dict, key: str, where: str, default=None, integer=False, low=None
     return value
 
 
+def _require_known(obj: dict, known: tuple, where: str) -> None:
+    """``ConfigError`` naming the first key of ``obj`` that is not in ``known``."""
+    unknown = [k for k in obj if k not in known]
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}; accepted: {list(known)}")
+
+
 def _torus_params(params: dict, kind: str, max_dim: int) -> TorusParams:
     where = f"experiment kind '{kind}'"
     p = _read(params, "p", where, integer=True, low=-MAX_NUMERATOR, high=MAX_NUMERATOR)
@@ -132,7 +139,9 @@ def _hat_family(count: int, spread: float, half_width: float) -> tuple[CompactFu
 def _functions_from_params(params: dict) -> list[CompactFunction]:
     choice = params.get("functions", {"hat_family": {}})
     if isinstance(choice, dict) and isinstance(choice.get("hat_family"), dict):
+        _require_known(choice, ("hat_family",), "tower: functions")
         fam = choice["hat_family"]
+        _require_known(fam, ("count", "max_center", "half_width"), "tower: hat_family")
         count = _read(fam, "count", "tower: hat_family", 5, integer=True, low=1)
         spread = _read(fam, "max_center", "tower: hat_family", 0.6)
         half_width = _read(fam, "half_width", "tower: hat_family", 0.3)
@@ -150,6 +159,11 @@ def _functions_from_params(params: dict) -> list[CompactFunction]:
 
 def _level_pairs_from_params(params: dict, min_level: int, depth: int) -> list[tuple[int, int]]:
     choice = params.get("level_pairs", "all")
+    if choice == [] or (choice == "all" and min_level >= depth):
+        # A check over no pair would pass whatever the tower does.
+        raise ConfigError(
+            f"tower: no level pair between support exponent {min_level} and depth {depth}"
+        )
     if choice == "all":
         return [(a, b) for a in range(min_level, depth + 1) for b in range(a + 1, depth + 1)]
     if not isinstance(choice, list) or not all(
@@ -289,24 +303,32 @@ def _read_lemma_iso(params: dict, seed: int, max_dim: int):
 
 
 class Kind(NamedTuple):
-    """An experiment kind: its default checks and its reader."""
+    """An experiment kind: its default checks, its reader and the parameter keys it reads."""
 
     checks: dict
     read: Callable
+    parameters: tuple
 
 
 KINDS = {
     "tower": Kind(
-        {"max_squaring_residual": TOL_ROOT, "max_level_independence": TOL_EMBED}, _read_tower
+        {"max_squaring_residual": TOL_ROOT, "max_level_independence": TOL_EMBED}, _read_tower,
+        ("p", "q", "depth", "branches", "functions", "level_pairs"),
     ),
-    "torus": Kind(dict.fromkeys(TORUS_RESIDUALS, TOL_TORUS), _read_torus),
-    "theta_tower": Kind({"max_image_relation_residual": 1e-9}, _read_theta_tower),
-    "span": Kind({"span_dim_error": 0.0, "max_generator_membership": 1e-10}, _read_span),
+    "torus": Kind(dict.fromkeys(TORUS_RESIDUALS, TOL_TORUS), _read_torus, ("p", "q")),
+    "theta_tower": Kind(
+        {"max_image_relation_residual": 1e-9}, _read_theta_tower, ("p", "q", "steps")
+    ),
+    "span": Kind(
+        {"span_dim_error": 0.0, "max_generator_membership": 1e-10}, _read_span,
+        ("p", "q", "word_cap", "expected_span_dim"),
+    ),
     "lemma_iso": Kind(
-        {**dict.fromkeys(ISO_RESIDUALS[:3], 1e-8), "span_dim_mismatch": 0.0}, _read_lemma_iso
+        {**dict.fromkeys(ISO_RESIDUALS[:3], 1e-8), "span_dim_mismatch": 0.0}, _read_lemma_iso,
+        ("p", "q", "n", "m", "word_cap", "flip_start", "flip_end", "flip_k"),
     ),
     "anticommute_demo": Kind(
-        {"square_residual": 0.0, "anticommute_residual": 0.0}, _read_anticommute
+        {"square_residual": 0.0, "anticommute_residual": 0.0}, _read_anticommute, ()
     ),
 }
 
@@ -314,6 +336,7 @@ KINDS = {
 def parse_experiment(obj: dict, index: int, seed: int, max_dim: int) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"experiment {index} must be an object")
+    _require_known(obj, ("kind", "name", "parameters", "checks"), f"experiment {index}")
     kind = obj.get("kind")
     if kind not in KINDS:
         kinds = tuple(KINDS)
@@ -321,6 +344,7 @@ def parse_experiment(obj: dict, index: int, seed: int, max_dim: int) -> Experime
     params = obj.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError(f"experiment {index}: 'parameters' must be an object")
+    _require_known(params, KINDS[kind].parameters, f"experiment {index}: {kind} parameters")
     user_checks = obj.get("checks", {})
     if not isinstance(user_checks, dict):
         raise ConfigError(f"experiment {index}: 'checks' must be an object")
@@ -354,7 +378,7 @@ def parse_config(
         if not isinstance(experiments, list) or not experiments:
             raise ConfigError("'experiments' must be a non-empty list")
     elif "kind" in data:
-        experiments = [data]
+        experiments = [{k: v for k, v in data.items() if k != "seed"}]
     else:
         raise ConfigError("config needs 'experiments' or a top-level 'kind'")
     source = data if seed_override is None else {"seed": seed_override}

@@ -14,15 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Freeing one untouched 1 MiB buffer raises glibc's dynamic mmap and trim
-# thresholds past the levels**2 * q temporaries of
-# towers.max_level_independence (a 220 KiB complex difference and its 110 KiB
-# modulus at q = 32, depth 20), which would otherwise go back to the OS and
-# fault in again on every call.  The scipy.linalg import does the same as a
-# side effect, but it is imported only where Schur runs, and no CLI run
-# reaches Schur.
-np.empty(1 << 17)
-
 # Tolerances of the spectral calculus.
 TOL_UNITARY = 1e-10
 TOL_SPECTRAL = 1e-8
@@ -133,11 +124,14 @@ class SpectralDecomposition:
     ``angles`` (ascending from :func:`spectral_decompose`) label the columns
     of ``vectors``, the eigenvectors; ``clusters`` partitions the indices into
     degeneracy groups (angles closer than the clustering gap).
+    ``basis_defect`` is δ = ||V†V - I||, the eigenvectors' roundoff from
+    unitarity (0 on diagonal input), so ||V diag(x) V†|| is max|x| within 1 ± δ.
     """
 
     angles: np.ndarray
     vectors: np.ndarray
     clusters: list[list[int]]
+    basis_defect: float
 
     @property
     def dim(self) -> int:
@@ -265,7 +259,7 @@ def spectral_decompose(u) -> SpectralDecomposition:
     vectors = z[:, order]
     clusters = _cluster_indices(angles, CLUSTER_GAP)
     vectors = _canonical_cluster_basis(vectors, clusters)
-    dec = SpectralDecomposition(angles=angles, vectors=vectors, clusters=clusters)
+    dec = SpectralDecomposition(angles, vectors, clusters, unitarity_defect(vectors))
     residual = operator_norm(dec.reconstruct() - u)
     if residual > TOL_SPECTRAL:
         raise ArithmeticError(

@@ -28,7 +28,6 @@ from .operators import (
     as_operator,
     hs_norm,
     spectral_decompose,
-    unitarity_defect,
 )
 from .roots import BranchFunction, branch_quotient
 
@@ -285,7 +284,7 @@ def amplification_iso_check(
         raise ValueError("word cap must be at least 1")
     n = xi.n
     dec = spectral_decompose(u)
-    scale = 1.0 + unitarity_defect(dec.vectors)
+    scale = 1.0 + dec.basis_defect
     lam = dec.eigenvalues()
     xi_pows, eta_pows = (f.root_value(dec.angles) ** np.arange(n)[:, None] for f in (xi, eta))
     w_pows = branch_quotient(xi, eta)(dec.angles) ** np.arange(2 * n + 1)[:, None]

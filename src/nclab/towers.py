@@ -18,10 +18,9 @@ from .operators import (
     TWO_PI,
     SpectralDecomposition,
     apply_circle_function,
+    as_operator,
     operator_norm,
-    require_unitary,
     spectral_decompose,
-    unitarity_defect,
 )
 from .roots import TOL_ROOT, BranchFunction
 
@@ -143,15 +142,13 @@ class RootTower:
     ``base``, the base's spectral decomposition; ``angles[k]`` holds level k's
     eigenangles on (-pi, pi] in its column order, and ``level(k)`` forms
     u_k = V diag(e^{i angles[k]}) V† on demand.  ``residuals[k-1]`` bounds
-    ||u_k**2 - u_{k-1}|| (see :func:`build_tower`).  ``basis_defect`` is
-    ||V†V - I||, V's roundoff from unitarity (0 on a clock base's permutation).
+    ||u_k**2 - u_{k-1}|| (see :func:`build_tower`).
     """
 
     branches: list[BranchFunction]
     residuals: list[float]
     base: SpectralDecomposition
     angles: list[np.ndarray]
-    basis_defect: float
 
     @property
     def depth(self) -> int:
@@ -187,12 +184,12 @@ def build_tower(
     Level 1's residual is the honest ||u_1 @ u_1 - u|| against the input u,
     so it carries the base's reconstruction error.  For k >= 2 it is
     (1 + δ)(max |μ_k**2 - μ_{k-1}| + δ), elementwise on μ_k = e^{i angles[k]}, with
-    δ the ``basis_defect``, which bounds ||u_k**2 - u_{k-1}||, since
+    δ the base's ``basis_defect``, which bounds ||u_k**2 - u_{k-1}||, since
     u_k**2 - u_{k-1} = V (D_k**2 - D_{k-1}) V† + V D_k (V†V - I) D_k V† and
     ||V X V†|| <= (1 + δ) ||X||; on a clock base (δ = 0) it is the exact
     elementwise maximum.  No level is formed beyond level 1.
     """
-    u = require_unitary(u)
+    u = as_operator(u)
     if depth < 1:
         raise ValueError("tower depth must be at least 1")
     if depth > MAX_TOWER_DEPTH:
@@ -206,7 +203,7 @@ def build_tower(
         if b.n != 2:
             raise ValueError("tower branches must be square-root branches (order 2)")
     base = spectral_decompose(u)
-    delta = unitarity_defect(base.vectors)
+    delta = base.basis_defect
     angles = [base.angles]
     residuals = []
     for k, b in enumerate(branches, 1):
@@ -222,7 +219,7 @@ def build_tower(
         if residual > tol_root:
             raise ArithmeticError(f"tower squaring residual {residual:.3e} exceeds {tol_root:.3e}")
         residuals.append(residual)
-    return RootTower(branches, residuals, base, angles, delta)
+    return RootTower(branches, residuals, base, angles)
 
 
 def _require_level(tower: RootTower, k: int) -> None:
@@ -230,13 +227,22 @@ def _require_level(tower: RootTower, k: int) -> None:
         raise ValueError(f"level {k} outside 0..{tower.depth}")
 
 
-def _require_embeddable(tower: RootTower, f: CompactFunction, level: int) -> None:
-    if f.support_exponent > level:
+def _level_values(tower: RootTower, f: CompactFunction, levels) -> np.ndarray:
+    """Rows f(2**k * a / pi) on level k's eigenangles a for the sorted unique
+    ``levels``; raises for the first level at which ``f`` cannot be embedded."""
+    levels = np.asarray(levels)
+    if f.support_exponent > levels[0]:
         raise ValueError(
             f"support exceeds tower depth: support exponent {f.support_exponent} "
-            f"needs level >= {f.support_exponent}, got {level}"
+            f"needs level >= {f.support_exponent}, got {levels[0]}"
         )
-    _require_level(tower, level)
+    if levels[-1] > tower.depth:
+        _require_level(tower, levels[levels > tower.depth][0])
+    scales = 2.0 ** levels / np.pi
+    values = np.asarray(f(scales[:, None] * np.array([tower.angles[k] for k in levels])), complex)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("circle function is not finite on every eigenangle")
+    return values
 
 
 def embed_compact_function(tower: RootTower, f: CompactFunction, level: int) -> np.ndarray:
@@ -246,9 +252,8 @@ def embed_compact_function(tower: RootTower, f: CompactFunction, level: int) -> 
     composite of rescaling the support into [-1, 1], wrapping [-1, 1] onto
     the circle, and functional calculus.
     """
-    _require_embeddable(tower, f, level)
-    scale = 2.0 ** level / np.pi
-    return apply_circle_function(tower.decomposition(level), lambda a: f(scale * a))
+    (values,) = _level_values(tower, f, [level])
+    return apply_circle_function(tower.decomposition(level), lambda a: values)
 
 
 def max_level_independence(tower: RootTower, f: CompactFunction, pairs) -> float:
@@ -257,23 +262,16 @@ def max_level_independence(tower: RootTower, f: CompactFunction, pairs) -> float
 
     A difference of levels is V diag(f_a - f_b) V† on the tower's shared
     eigenvectors V, whose norm lies within a factor 1 ± δ of the diagonal's
-    maximum, δ = ||V†V - I|| being the tower's ``basis_defect``.  Raises the
-    errors of ``embed_compact_function``.
+    maximum, δ = ||V†V - I|| being the base's ``basis_defect``.  The working
+    set is pairs * q.  Raises the errors of ``embed_compact_function``.
     """
     pairs = np.asarray(list(pairs)).reshape(-1, 2)
     if not len(pairs):
         return 0.0
     levels, index = np.unique(pairs, return_inverse=True)
-    for k in levels:
-        _require_embeddable(tower, f, k)
-    scales = 2.0 ** levels / np.pi
-    values = np.asarray(f(scales[:, None] * np.array([tower.angles[k] for k in levels])), complex)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("circle function is not finite on every eigenangle")
-    # All level pairs at once: the working set is levels**2 * q, however many pairs.
-    gaps = np.abs(values[:, None] - values[None]).max(axis=2)
+    values = _level_values(tower, f, levels)
     first, second = index.reshape(-1, 2).T
-    return float((1.0 + tower.basis_defect) * gaps[first, second].max())
+    return float((1.0 + tower.base.basis_defect) * np.abs(values[first] - values[second]).max())
 
 
 def level_independence_residual(

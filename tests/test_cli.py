@@ -85,6 +85,28 @@ MALFORMED = {
     "integer theta": {"kind": "theta_tower", "parameters": {"p": 6, "q": 3}},
 }
 
+# A key that the experiment does not read, which must exit 2 naming the key:
+# one parameter key per kind, then the experiment object and the tower's
+# function objects.
+UNREAD_KEYS = {
+    "tower": ({"kind": "tower", "parameters": {"p": 1, "q": 8, "depth": 3, "typo_depht": 40}},
+              "typo_depht"),
+    "torus": ({"kind": "torus", "parameters": {**TORUS, "steps": 3}}, "steps"),
+    "theta_tower": ({"kind": "theta_tower", "parameters": {**TORUS, "stpes": 9}}, "stpes"),
+    "span": ({"kind": "span", "parameters": {"p": 1, "q": 2, "wordcap": 9}}, "wordcap"),
+    "lemma_iso": ({"kind": "lemma_iso", "parameters": {**TORUS, "flip_kk": 0}}, "flip_kk"),
+    "anticommute_demo": ({"kind": "anticommute_demo", "parameters": TORUS}, "p"),
+    "experiment": ({"kind": "tower", "paramters": {"p": 1, "q": 8, "depth": 40}}, "paramters"),
+    "hat_family": (
+        {"kind": "tower", "parameters": {**TORUS, "functions": {"hat_family": {"cuont": 2}}}},
+        "cuont",
+    ),
+    "functions": (
+        {"kind": "tower", "parameters": {**TORUS, "functions": {"hat_family": {}, "hats": 2}}},
+        "hats",
+    ),
+}
+
 # A tower at the documented depth and dimension limits: seconds of work that a
 # bad experiment after it must not cost.
 DEEP_TOWER = {
@@ -141,19 +163,29 @@ _PARAMETER_KEYS = [
     "p", "q", "n", "m", "word_cap", "steps", "depth", "branches", "functions",
     "level_pairs", "expected_span_dim", "flip_start", "flip_end", "flip_k",
 ]
-_EXPERIMENTS = st.fixed_dictionaries(
-    {"kind": st.sampled_from([*KINDS, "bogus"])},
-    optional={
-        "parameters": st.fixed_dictionaries(
-            {"p": st.integers(-2, 6), "q": st.integers(1, 9)},
-            optional={key: _VALUES for key in _PARAMETER_KEYS[2:]},
-        )
-        | st.dictionaries(st.sampled_from(_PARAMETER_KEYS), _VALUES, max_size=6)
-        | _VALUES,
-        "checks": st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2) | _VALUES,
-        "name": _SCALARS,
-    },
-)
+
+
+def _experiments(kind):
+    """Experiments of ``kind``; the first parameter strategy draws only keys
+    the kind reads beyond p and q, so that the draws reach its reader past
+    the unknown-key check."""
+    own = KINDS[kind].parameters if kind in KINDS else _PARAMETER_KEYS
+    return st.fixed_dictionaries(
+        {"kind": st.just(kind)},
+        optional={
+            "parameters": st.fixed_dictionaries(
+                {"p": st.integers(-2, 6), "q": st.integers(1, 9)},
+                optional={key: _VALUES for key in own if key not in ("p", "q")},
+            )
+            | st.dictionaries(st.sampled_from(_PARAMETER_KEYS), _VALUES, max_size=6)
+            | _VALUES,
+            "checks": st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2) | _VALUES,
+            "name": _SCALARS,
+        },
+    )
+
+
+_EXPERIMENTS = st.sampled_from([*KINDS, "bogus"]).flatmap(_experiments)
 _CONFIGS = st.one_of(
     _EXPERIMENTS,
     st.lists(_EXPERIMENTS, max_size=3),
@@ -182,6 +214,10 @@ class TestParseConfig:
         assert len(configs) == 1
         assert configs[0].kind == "torus"
         assert seed == 0
+
+    def test_single_experiment_reads_its_seed(self):
+        (cfg,), seed = parse_config({"kind": "anticommute_demo", "seed": 4})
+        assert seed == cfg.seed == 4
 
     def test_bare_list(self):
         configs, _ = parse_config([{"kind": "anticommute_demo"}])
@@ -448,6 +484,28 @@ class TestMainExitCodes:
         )
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, key", UNREAD_KEYS.values(), ids=UNREAD_KEYS.keys())
+    def test_unread_key_exit_two(self, tmp_path, capsys, config, key):
+        assert main(["run", write_config(tmp_path, config)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "parameters, support",
+        [
+            ({"depth": 2, "branches": [FLIPPED_BRANCH, PRINCIPAL_BRANCH],
+              "functions": [{"support_exponent": 3, "breakpoints": [-8.0, 0.0, 8.0],
+                             "values": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}]}, 3),
+            ({"depth": 2, "level_pairs": []}, 0),
+        ],
+        ids=["support above depth", "empty list"],
+    )
+    def test_no_level_pair_exit_two(self, tmp_path, capsys, parameters, support):
+        # A tower compared at no pair of levels would pass whatever its branches.
+        config = {"kind": "tower", "parameters": {"p": 1, "q": 8, **parameters}}
+        cfg = write_config(tmp_path, config)
+        assert main(["run", cfg]) == 2
+        assert f"support exponent {support} and depth 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_parameters_exit_two(self, tmp_path, capsys, config):

@@ -292,6 +292,16 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match="not unitary"):
             spectral_decompose(2.0 * np.eye(3))
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 33, 64])
+    def test_basis_defect_is_the_unitarity_defect_of_the_vectors(self, dim):
+        d = spectral_decompose(random_unitary(dim, np.random.default_rng(dim)))
+        assert d.basis_defect == unitarity_defect(d.vectors)
+
+    def test_basis_defect_vanishes_on_diagonal_input(self):
+        repeated = np.diag(np.exp(1j * np.array([0.3, -2.0, 0.3, np.pi])))
+        for u in (np.eye(4), clock_matrix(3, 16), repeated):
+            assert spectral_decompose(u).basis_defect == 0.0
+
     def test_unitarity_defect_measured(self):
         assert unitarity_defect(np.eye(5)) == pytest.approx(0.0)
         assert unitarity_defect(1.1 * np.eye(2)) == pytest.approx(0.21)

@@ -346,7 +346,7 @@ class TestMaxLevelIndependence:
         # by 1e-47 at m = 0.84 read 0.  m is floored at the smallest normal
         # float, below which the spacing of floats stops shrinking.
         tower, f, pairs = case
-        delta = tower.basis_defect
+        delta = tower.base.basis_defect
         assert delta == unitarity_defect(tower.base.vectors)
         for a, b in pairs:
             fa, fb = (f(2.0**k / np.pi * tower.angles[k]) for k in (a, b))
@@ -359,7 +359,7 @@ class TestMaxLevelIndependence:
 
     def test_basis_defect_vanishes_on_clock_bases(self):
         for p, q in [(1, 8), (3, 128), (5, 12)]:
-            assert build_tower(clock_matrix(p, q), 3, PRINCIPAL).basis_defect == 0.0
+            assert build_tower(clock_matrix(p, q), 3, PRINCIPAL).base.basis_defect == 0.0
 
     def test_many_repeated_pairs(self):
         flip = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
