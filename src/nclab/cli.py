@@ -176,7 +176,8 @@ def _level_pairs_from_params(params: dict, min_level: int, depth: int) -> list[t
     for a, b in choice:
         if not (min_level <= a <= depth and min_level <= b <= depth):
             raise ConfigError(f"tower: level pair ({a}, {b}) outside {min_level}..{depth}")
-    return [(a, b) for a, b in choice]
+    # Repeats would cost memory in every check and change no residual.
+    return list(dict.fromkeys((a, b) for a, b in choice))
 
 
 # A reader takes (parameters, seed, max_dim), raises ConfigError for any input
@@ -374,6 +375,7 @@ def parse_config(
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object or list")
     if "experiments" in data:
+        _require_known(data, ("seed", "experiments"), "config")
         experiments = data["experiments"]
         if not isinstance(experiments, list) or not experiments:
             raise ConfigError("'experiments' must be a non-empty list")

@@ -20,8 +20,8 @@ TOL_SPECTRAL = 1e-8
 CLUSTER_GAP = 1e-8
 
 TWO_PI = 2.0 * np.pi
-# Eigenangles within 4 ulps of the cut at +-pi are eigenvalue -1, which Schur
-# places up to 1 ulp to either side; they become +pi.
+# Eigenangles within 4 ulps of the cut at +-pi are eigenvalue -1, which
+# roundoff in a decomposition may place to either side; they become +pi.
 CUT_WINDOW = 4 * np.spacing(np.pi)
 
 
@@ -234,13 +234,14 @@ def _is_diagonal(u: np.ndarray) -> bool:
 def spectral_decompose(u) -> SpectralDecomposition:
     """Orthonormal eigendecomposition of a unitary.
 
-    Uses the complex Schur form (diagonal for normal matrices) so the
-    eigenbasis is orthonormal by construction, then sorts angles ascending
-    and canonicalizes the basis within each degeneracy cluster against the
-    standard basis.  A diagonal ``u``, such as every clock matrix, is its own
-    Schur form: its eigenvalues are its diagonal and its Schur vectors the
-    identity, with no call to Schur.  scipy is imported on the Schur path
-    only, on the first non-diagonal input.  Rejects inputs whose unitarity
+    A diagonal ``u``, such as every clock matrix, is read off: its diagonal
+    holds the eigenvalues and the identity the eigenvectors.  Otherwise ``u``
+    is rotated so that the middle of the widest gap between its eigenangles
+    sits at -1, and the eigenvectors are those of the Hermitian Cayley
+    transform i(I - w)(I + w)^-1 of the rotated w, orthonormal by
+    construction; each eigenvalue is the Rayleigh quotient v†uv.  Angles are
+    then sorted ascending and the basis canonicalized within each degeneracy
+    cluster against the standard basis.  Rejects inputs whose unitarity
     defect exceeds ``TOL_UNITARY``; the output reproduces the input within
     ``TOL_SPECTRAL``.
     """
@@ -248,10 +249,16 @@ def spectral_decompose(u) -> SpectralDecomposition:
     if _is_diagonal(u):
         eig, z = np.diagonal(u), np.eye(len(u), dtype=complex)
     else:
-        import scipy.linalg as la
-
-        t, z = la.schur(u, output="complex")
-        eig = np.diag(t)
+        # Every eigenvalue of w is at least half the widest gap, >= pi/q, from
+        # -1, which bounds how far the Cayley transform amplifies roundoff.
+        a = np.sort(np.angle(np.linalg.eigvals(u)))
+        gaps = np.diff(a, append=a[0] + TWO_PI)
+        j = np.argmax(gaps)
+        w = u * np.exp(1j * (np.pi - a[j] - gaps[j] / 2))
+        eye = np.eye(len(u))
+        h = 1j * np.linalg.solve(eye + w, eye - w)
+        z = np.linalg.eigh((h + h.conj().T) / 2)[1]
+        eig = np.einsum("ij,ij->j", z.conj(), u @ z)
     eig = eig / np.abs(eig)
     angles = _normalize_angles(np.angle(eig))
     order = np.argsort(angles, kind="stable")

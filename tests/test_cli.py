@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,8 +85,8 @@ MALFORMED = {
 }
 
 # A key that the experiment does not read, which must exit 2 naming the key:
-# one parameter key per kind, then the experiment object and the tower's
-# function objects.
+# one parameter key per kind, then the experiment object, the tower's
+# function objects and the top level of a config.
 UNREAD_KEYS = {
     "tower": ({"kind": "tower", "parameters": {"p": 1, "q": 8, "depth": 3, "typo_depht": 40}},
               "typo_depht"),
@@ -105,6 +104,7 @@ UNREAD_KEYS = {
         {"kind": "tower", "parameters": {**TORUS, "functions": {"hat_family": {}, "hats": 2}}},
         "hats",
     ),
+    "config": ({"sed": 5, "experiments": [{"kind": "torus", "parameters": TORUS}]}, "sed"),
 }
 
 # A tower at the documented depth and dimension limits: seconds of work that a
@@ -350,6 +350,24 @@ class TestRunExperiment:
         assert peak < 32 * 2**20
         assert report["details"]["word_count"] == 24 * 91**2
 
+    def test_repeated_level_pairs_cost_one_pair(self):
+        # One pair's check peaks at 1.6 MiB (tracemalloc); 20,000 copies of it,
+        # unless deduplicated, peak at 79 MiB.
+        params = {"p": 1, "q": 128, "depth": 4}
+        reports = []
+        for pairs in ([[1, 3]], [[1, 3]] * 20_000 + [[0, 2], [1, 3]]):
+            (cfg,), _ = parse_config({"kind": "tower", "parameters": {**params, "level_pairs": pairs}})
+            tracemalloc.start()
+            try:
+                reports.append(run_experiment(cfg))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+        single, repeated = reports
+        assert repeated["details"]["pairs"] == 2
+        assert repeated["residuals"] == single["residuals"]
+
     def test_lemma_iso_word_guard_at_its_limit(self):
         # n=2 and 2 base words at q=2: 8 * m**2 amplified words.
         assert 8 * 158**2 <= WORD_BUDGET < 8 * 159**2
@@ -538,44 +556,44 @@ class TestMainExitCodes:
         assert main(["run", write_config(tmp_path, beyond)]) == 2
         assert "'p' must be in" in capsys.readouterr().err
 
-    def test_no_run_calls_schur(self, tmp_path, capsys, monkeypatch):
+    def test_no_run_calls_eigh(self, tmp_path, capsys, monkeypatch):
         # Every CLI kind decomposes a clock, which is diagonal: the README
-        # config and the largest tower and lemma_iso runs never reach Schur.
-        def schur(*args, **kwargs):
-            raise AssertionError("Schur called on a CLI path")
+        # config and the largest tower and lemma_iso runs never reach the
+        # eigensolver of non-diagonal input.
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigh called on a CLI path")
 
-        monkeypatch.setattr(scipy.linalg, "schur", schur)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         config = readme_config()
         lemma = {"kind": "lemma_iso", "parameters": {"p": 1, "q": 128}}
         for data in (config, DEEP_TOWER, lemma):
             assert main(["run", write_config(tmp_path, data), "--format", "csv"]) == 0
 
     def test_no_run_imports_scipy(self, tmp_path):
-        # In a fresh interpreter: the README config and a depth-20 tower at
-        # q = 32 leave scipy.linalg unloaded; the first non-diagonal
-        # decomposition loads it and still reconstructs its input.
+        # In a fresh interpreter where importing scipy fails: the README config
+        # and a depth-20 tower at q = 32 run, and non-diagonal input decomposes.
         script = """
 import json, sys
+sys.modules["scipy"] = None
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from nclab.cli import main
 from nclab.operators import operator_norm, random_unitary, spectral_decompose
+from nclab.torus import shift_matrix
 codes = [main(["run", path, "--format", "csv"]) for path in sys.argv[2:]]
-after_runs = "scipy.linalg" in sys.modules
-u = random_unitary(4, np.random.default_rng(0))
-residual = operator_norm(spectral_decompose(u).reconstruct() - u)
-print(json.dumps([codes, after_runs, "scipy.linalg" in sys.modules, residual]))
+residuals = []
+for u in (random_unitary(4, np.random.default_rng(0)), shift_matrix(8)):
+    residuals.append(operator_norm(spectral_decompose(u).reconstruct() - u))
+print(json.dumps([codes, residuals]))
 """
         config = readme_config()
         tower = {"kind": "tower", "parameters": {"p": 3, "q": 32, "depth": 20}}
         paths = [write_config(tmp_path, data, f"{i}.json") for i, data in enumerate((config, tower))]
         proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"), *paths],
                               capture_output=True, text=True, timeout=120, check=True)
-        codes, after_runs, after_schur, residual = json.loads(proc.stdout.splitlines()[-1])
+        codes, residuals = json.loads(proc.stdout.splitlines()[-1])
         assert codes == [0, 0]
-        assert not after_runs
-        assert after_schur
-        assert residual <= TOL_SPECTRAL
+        assert max(residuals) <= TOL_SPECTRAL
 
     def test_invalid_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -23,8 +23,13 @@ from nclab import (
     unitarity_defect,
 )
 from nclab.operators import (
+    CLUSTER_GAP,
     CUT_WINDOW,
+    TWO_PI,
     Orthonormalizer,
+    SpectralDecomposition,
+    _canonical_cluster_basis,
+    _cluster_indices,
     _normalize_angles,
 )
 
@@ -170,22 +175,23 @@ def diagonal_unitaries(draw):
     return np.diag(np.exp(1j * np.array(phases)[picks]))
 
 
-class TestDiagonalSchurForm:
-    """A diagonal unitary is decomposed without Schur, bitwise as Schur's path
-    decomposes it: the Schur path, forced, stays the reference."""
+class TestDiagonalInput:
+    """A diagonal unitary is decomposed without an eigensolver, bitwise as the
+    path of non-diagonal input decomposes it: that path, forced, stays the
+    reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(diagonal_unitaries())
     @example(np.diag(np.exp(1j * np.array([np.pi, -np.pi + 1e-10, 0.0]))))
     @example(clock_matrix(2**53, 128))
     @example(clock_matrix(-(2**53), 96))
-    def test_matches_the_schur_path(self, u):
-        with mock.patch.object(scipy.linalg, "schur", wraps=scipy.linalg.schur) as schur:
+    def test_matches_the_eigh_path(self, u):
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             d = spectral_decompose(u)
-            schur.assert_not_called()
+            eigh.assert_not_called()
             with mock.patch.object(operators, "_is_diagonal", return_value=False):
                 reference = spectral_decompose(u)
-            schur.assert_called_once()
+            eigh.assert_called_once()
         assert np.array_equal(d.angles, reference.angles)
         assert np.array_equal(d.vectors, reference.vectors)
         assert d.clusters == reference.clusters
@@ -254,6 +260,10 @@ class TestSpectralDecompose:
                 if np.gcd(p, q) == 1:
                     angle = np.angle(clock_matrix(p, q)[q // 2, q // 2])
                     assert abs(angle - np.pi) <= np.spacing(np.pi)
+
+    def test_every_even_shift_has_minus_one_at_pi(self):
+        for q in range(2, 129, 2):
+            assert np.count_nonzero(spectral_decompose(shift_matrix(q)).angles == np.pi) == 1
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(9)
@@ -329,6 +339,69 @@ class TestSpectralDecompose:
             qmat, r = np.linalg.qr(proj[:, cols])
             qmat = qmat * (np.diag(r) / np.abs(np.diag(r)))  # phases with diag(R) > 0
             assert np.max(np.abs(vc - qmat)) < 1e-12
+
+
+# Over 10,000 draws of conjugated_unitaries, scipy's Schur form put an
+# eigenvalue -1 up to 8 ulps from the cut, past CUT_WINDOW, in 9 of them
+# (spectral_decompose at 0 ulps in all), so the reference labels eigenangles
+# within 16 ulps of the cut +pi.
+SCHUR_CUT_WINDOW = 16 * np.spacing(np.pi)
+# The worst differences over those draws, in units of q eps, were 1.3 for
+# angles, 10 / gap for vectors (gap: the least distance between clusters),
+# 2.4 for the basis defect and 3.6 for reconstruction; the bounds leave a
+# factor of about 3.
+ORACLE_ANGLE, ORACLE_VECTOR, ORACLE_DEFECT, ORACLE_RECONSTRUCTION = 4, 32, 8, 12
+
+
+def schur_decompose(u) -> SpectralDecomposition:
+    """spectral_decompose's steps on scipy's complex Schur form of ``u``."""
+    t, z = scipy.linalg.schur(u, output="complex")
+    angles = np.angle(np.diag(t) / np.abs(np.diag(t)))
+    angles = np.where(np.pi - np.abs(angles) <= SCHUR_CUT_WINDOW, np.pi, angles)
+    order = np.argsort(angles, kind="stable")
+    clusters = _cluster_indices(angles[order], CLUSTER_GAP)
+    vectors = _canonical_cluster_basis(z[:, order], clusters)
+    return SpectralDecomposition(angles[order], vectors, clusters, unitarity_defect(vectors))
+
+
+@st.composite
+def conjugated_unitaries(draw):
+    """q <= 128: a random unitary W, or W D W† for a diagonal D whose random
+    phases each repeat one to three times, the first of them pi or not.
+    Returns the unitary and how many eigenvalues -1 it has."""
+    q = draw(st.integers(1, 128))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = random_unitary(q, rng)
+    kind = draw(st.sampled_from(["random", "clusters", "minus one"]))
+    if kind == "random":
+        return w, 0
+    phases = rng.uniform(-np.pi, np.pi, q)
+    if kind == "minus one":
+        phases[0] = np.pi
+    d = np.repeat(phases, rng.integers(1, 4, q))[:q]
+    return (w * np.exp(1j * d)) @ w.conj().T, np.count_nonzero(d == np.pi)
+
+
+class TestSchurOracle:
+    """scipy's Schur form, through the same sort, clustering and canonical
+    basis, is the reference for non-diagonal input."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(conjugated_unitaries())
+    def test_matches_the_schur_form(self, drawn):
+        u, minus_ones = drawn
+        q = len(u)
+        d, reference = spectral_decompose(u), schur_decompose(u)
+        assert np.count_nonzero(d.angles == np.pi) == minus_ones
+        assert d.clusters == reference.clusters
+        # The smallest circular distance between eigenangles of two clusters.
+        firsts = np.array([d.angles[idx[0]] for idx in d.clusters])
+        lasts = np.array([d.angles[idx[-1]] for idx in d.clusters])
+        gap = np.min((np.roll(firsts, -1) - lasts) % TWO_PI) if len(firsts) > 1 else TWO_PI
+        assert np.abs(d.angles - reference.angles).max() <= ORACLE_ANGLE * q * EPS
+        assert np.abs(d.vectors - reference.vectors).max() <= ORACLE_VECTOR * q * EPS / gap
+        assert d.basis_defect <= ORACLE_DEFECT * q * EPS
+        assert operator_norm(d.reconstruct() - u) <= ORACLE_RECONSTRUCTION * q * EPS
 
 
 class TestOrthonormalizer:
