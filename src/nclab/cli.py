@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -26,20 +25,13 @@ from . import __version__
 from .roots import TOL_ROOT, BranchFunction
 from .spans import MAX_BASE_WORDS, WORD_BUDGET, amplification_iso_check, generate_span
 from .torus import (
-    TOL_TORUS,
     TorusParams,
     anticommuting_root_example,
     clock_matrix,
     clock_shift,
     iterate_theta_halving,
 )
-from .towers import (
-    MAX_TOWER_DEPTH,
-    TOL_EMBED,
-    CompactFunction,
-    build_tower,
-    max_level_independence,
-)
+from .towers import MAX_TOWER_DEPTH, CompactFunction, build_tower, max_level_independence
 
 DEFAULT_MAX_DIM = 128
 # |p| <= 2**53, the range in which every integer is a float: the reported
@@ -197,7 +189,7 @@ def _read_torus(params: dict, seed: int, max_dim: int):
     torus = _torus_params(params, "torus", max_dim)
 
     def compute():
-        rep = clock_shift(torus, tol=np.inf)
+        rep = clock_shift(torus)
         values = [rep.commutation_residual, rep.clock_order_residual, rep.shift_order_residual]
         return values, {"theta": torus.theta, "dim": torus.q}
 
@@ -218,7 +210,7 @@ def _read_theta_tower(params: dict, seed: int, max_dim: int):
             raise ConfigError(f"theta_tower: dimension {target.q} exceeds the maximum {max_dim}")
 
     def compute():
-        reports = iterate_theta_halving(torus, steps, max_dim=max_dim, tol=np.inf)
+        reports = iterate_theta_halving(torus, steps)
         values = [getattr(rep, name) for rep in reports for name in STEP_RESIDUALS]
         values.append(max(r.image_relation_residual for r in reports))
         visited = [torus] + [r.target for r in reports]
@@ -238,7 +230,7 @@ def _read_tower(params: dict, seed: int, max_dim: int):
     pairs = _level_pairs_from_params(params, min_level, depth)
 
     def compute():
-        tower = build_tower(clock_matrix(torus.p, torus.q), depth, branches, tol_root=np.inf)
+        tower = build_tower(clock_matrix(torus.p, torus.q), depth, branches)
         max_indep = max(max_level_independence(tower, f, pairs) for f in functions)
         details = {"dim": torus.q, "depth": depth, "functions": len(functions), "pairs": len(pairs)}
         return [max(tower.residuals), max_indep], details
@@ -304,7 +296,10 @@ def _read_lemma_iso(params: dict, seed: int, max_dim: int):
 
 
 class Kind(NamedTuple):
-    """An experiment kind: its default checks, its reader and the parameter keys it reads."""
+    """An experiment kind: its default checks, its reader and the parameter keys it reads.
+
+    The library measures residuals and judges none of them; these default
+    thresholds, or a config's overrides, are the only pass/fail decision."""
 
     checks: dict
     read: Callable
@@ -313,10 +308,10 @@ class Kind(NamedTuple):
 
 KINDS = {
     "tower": Kind(
-        {"max_squaring_residual": TOL_ROOT, "max_level_independence": TOL_EMBED}, _read_tower,
+        {"max_squaring_residual": TOL_ROOT, "max_level_independence": 1e-9}, _read_tower,
         ("p", "q", "depth", "branches", "functions", "level_pairs"),
     ),
-    "torus": Kind(dict.fromkeys(TORUS_RESIDUALS, TOL_TORUS), _read_torus, ("p", "q")),
+    "torus": Kind(dict.fromkeys(TORUS_RESIDUALS, 1e-10), _read_torus, ("p", "q")),
     "theta_tower": Kind(
         {"max_image_relation_residual": 1e-9}, _read_theta_tower, ("p", "q", "steps")
     ),
@@ -477,18 +472,6 @@ def emit_report(report: dict, fmt: str = "json", out: str | None = None) -> str:
     return text
 
 
-def _resolve_max_dim(cli_value: int | None) -> int:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get("NCLAB_MAX_DIM")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"NCLAB_MAX_DIM must be an integer, got {env!r}") from exc
-    return DEFAULT_MAX_DIM
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nclab", description="run covering-construction experiments from a JSON config"
@@ -500,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="output path (default: stdout)")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument(
-        "--max-dim", type=int, default=None, help=f"dimension guard (default {DEFAULT_MAX_DIM})"
+        "--max-dim", type=int, default=DEFAULT_MAX_DIM, help="dimension guard (default %(default)s)"
     )
     return parser
 
@@ -508,14 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        max_dim = _resolve_max_dim(args.max_dim)
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         print(f"nclab: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run_config(data, seed_override=args.seed, max_dim=max_dim)
+        report = run_config(data, seed_override=args.seed, max_dim=args.max_dim)
     except ConfigError as exc:
         print(f"nclab: config error: {exc}", file=sys.stderr)
         return 2

@@ -79,12 +79,12 @@ def unitarity_defect(u) -> float:
     return operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
 
 
-def require_unitary(u, tol: float = TOL_UNITARY) -> np.ndarray:
-    """Validate ``u`` as unitary within ``tol`` and return it as an array."""
+def require_unitary(u) -> np.ndarray:
+    """Validate ``u`` as unitary within ``TOL_UNITARY`` and return it as an array."""
     u = as_operator(u)
     defect = unitarity_defect(u)
-    if defect > tol:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds {tol:.3e}")
+    if defect > TOL_UNITARY:
+        raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds {TOL_UNITARY:.3e}")
     return u
 
 

@@ -141,12 +141,10 @@ class RootReport:
 
     ``residual`` is ||v**n - u||; ``generated_algebra_residual`` is the
     distance from v to the circle functions of u (zero when v commutes with
-    every projection commuting with u), with ``in_generated_algebra`` the
-    thresholded flag.
+    every projection commuting with u).
     """
 
     residual: float
-    in_generated_algebra: bool
     generated_algebra_residual: float
 
 
@@ -210,8 +208,8 @@ def general_root_search(
     return root
 
 
-def root_residual(v, u, n: int, tol: float = TOL_ROOT) -> RootReport:
-    """Measure ||v**n - u|| and whether v is a circle function of u."""
+def root_residual(v, u, n: int) -> RootReport:
+    """Measure ||v**n - u|| and the distance of v from the circle functions of u."""
     v = as_operator(v)
     u = as_operator(u)
     if v.shape != u.shape:
@@ -219,12 +217,9 @@ def root_residual(v, u, n: int, tol: float = TOL_ROOT) -> RootReport:
     if n < 1:
         raise ValueError("root order must be positive")
     residual = operator_norm(np.linalg.matrix_power(v, n) - u)
-    dec = spectral_decompose(u)
-    alg_residual = circle_function_distance(dec, v)
     return RootReport(
         residual=residual,
-        in_generated_algebra=alg_residual <= tol,
-        generated_algebra_residual=alg_residual,
+        generated_algebra_residual=circle_function_distance(spectral_decompose(u), v),
     )
 
 

@@ -22,9 +22,8 @@ from .operators import (
     operator_norm,
     spectral_decompose,
 )
-from .roots import TOL_ROOT, BranchFunction
+from .roots import BranchFunction
 
-TOL_EMBED = 1e-9
 # Angle halving is exact; 48 stays because a principal level there is within
 # pi * 2**-48 (1.1e-14) of I, the roundoff of a product at dimension 128.
 MAX_TOWER_DEPTH = 48
@@ -172,13 +171,12 @@ def build_tower(
     u,
     depth: int,
     branches: BranchFunction | list[BranchFunction],
-    tol_root: float = TOL_ROOT,
 ) -> RootTower:
     """Iterate branch square roots ``depth`` times above the base unitary.
 
     ``branches`` is one square-root branch reused at every level or a list
-    of length ``depth``; each level is checked to square back onto the one
-    below within ``tol_root``.  The base is decomposed once; a level's angles
+    of length ``depth``; ``residuals`` records how far each level squares
+    back onto the one below.  The base is decomposed once; a level's angles
     are its branch's root angles of the level below, folded into (-pi, pi].
 
     Level 1's residual is the honest ||u_1 @ u_1 - u|| against the input u,
@@ -216,8 +214,6 @@ def build_tower(
         else:
             mu, below = np.exp(1j * angles[k]), np.exp(1j * angles[k - 1])
             residual = float((1.0 + delta) * (np.abs(mu * mu - below).max() + delta))
-        if residual > tol_root:
-            raise ArithmeticError(f"tower squaring residual {residual:.3e} exceeds {tol_root:.3e}")
         residuals.append(residual)
     return RootTower(branches, residuals, base, angles)
 

@@ -215,7 +215,7 @@ def test_criterion_8_amplification_map():
             iso.module_residual,
         )
         worst_oracle = max(worst_oracle, iso.word_calculus_residual)
-        spans_ok = spans_ok and iso.span_dims_equal
+        spans_ok = spans_ok and iso.domain_span_dim == iso.image_span_dim
         # one base word per distinct power of u, at most 24
         counts_ok = counts_ok and iso.word_count == n * n * m * m * min(2 * L + 1, q, 24)
     elapsed = time.perf_counter() - start

@@ -604,14 +604,19 @@ print(json.dumps([codes, residuals]))
         cfg = write_config(tmp_path, {"kind": "anticommute_demo"})
         assert main(["run", cfg, "--out", str(tmp_path / "no-such-dir" / "x.json")]) == 3
 
-    def test_env_max_dim(self, tmp_path, capsys, monkeypatch):
+    def test_max_dim_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "torus", "parameters": {"p": 1, "q": 50}})
-        monkeypatch.setenv("NCLAB_MAX_DIM", "10")
-        assert main(["run", cfg]) == 2
-        monkeypatch.setenv("NCLAB_MAX_DIM", "64")
-        assert main(["run", cfg]) == 0
-
-    def test_cli_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        cfg = write_config(tmp_path, {"kind": "torus", "parameters": {"p": 1, "q": 50}})
-        monkeypatch.setenv("NCLAB_MAX_DIM", "10")
+        assert main(["run", cfg, "--max-dim", "10"]) == 2
         assert main(["run", cfg, "--max-dim", "64"]) == 0
+
+
+def test_readme_quick_start_runs():
+    # The README's library example, run as written in a fresh interpreter.
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    script = f"import sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{block}"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "0.0"
+    assert float(lines[1]) < 1e-14

@@ -19,6 +19,7 @@ from nclab import (
     root_residual,
     spectral_decompose,
 )
+from nclab.roots import TOL_ROOT
 
 
 class TestBranchFunction:
@@ -126,7 +127,7 @@ class TestNthRootBranch:
         u = random_unitary(10, rng)
         b = BranchFunction.random(3, rng)
         report = root_residual(nth_root_branch(u, b), u, 3)
-        assert report.in_generated_algebra
+        assert report.generated_algebra_residual <= TOL_ROOT
 
     def test_two_roots_differ_by_correction(self):
         rng = np.random.default_rng(24)
@@ -189,7 +190,7 @@ class TestGeneralRootSearch:
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         v = general_root_search(np.eye(2), 2, {0: x})
         report = root_residual(v, np.eye(2), 2)
-        assert not report.in_generated_algebra
+        assert report.generated_algebra_residual > TOL_ROOT
         assert report.generated_algebra_residual > 0.9
 
 
@@ -199,13 +200,13 @@ class TestRootResidual:
         v = nth_root_branch(u, BranchFunction.principal(2))
         report = root_residual(v, u, 2)
         assert report.residual < 1e-12
-        assert report.in_generated_algebra
+        assert report.generated_algebra_residual <= TOL_ROOT
 
     def test_exchange_root_of_identity(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         report = root_residual(x, np.eye(2), 2)
         assert report.residual == 0.0
-        assert not report.in_generated_algebra
+        assert report.generated_algebra_residual > TOL_ROOT
 
     def test_degenerate_order_one(self):
         rng = np.random.default_rng(25)

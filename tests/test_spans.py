@@ -380,7 +380,7 @@ class TestAmplificationIso:
         assert iso.multiplicativity_residual < 1e-12
         assert iso.adjoint_residual < 1e-12
         assert iso.module_residual < 1e-12
-        assert iso.span_dims_equal
+        assert iso.domain_span_dim == iso.image_span_dim
 
     def test_flipped_branch_two_point_spectrum(self):
         # flip covers only the first eigenangle, so the correction is diag(-1, 1)
@@ -417,7 +417,7 @@ class TestAmplificationIso:
         eta = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
         iso = amplification_iso_check(u, xi, eta, 1, 5)
         assert iso.word_count == 2 * 2 * 1 * 11
-        assert iso.span_dims_equal
+        assert iso.domain_span_dim == iso.image_span_dim
 
     def test_correction_power_is_identity(self):
         u = clock_matrix(1, 5)
@@ -541,7 +541,7 @@ class TestAmplificationIso:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert iso.pair_count == 200
-        assert iso.span_dims_equal
+        assert iso.domain_span_dim == iso.image_span_dim
 
     def test_rejects_unequal_orders(self):
         with pytest.raises(ValueError, match="orders differ"):
