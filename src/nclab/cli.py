@@ -41,6 +41,8 @@ MAX_NUMERATOR = 2**53
 # generate_span's work grows as q**6: the full clock/shift algebra takes about
 # 2 s at q = 32 on one core and 21 s at q = 48, so span stops at a few seconds.
 MAX_SPAN_DIM = 32
+# Hats in a hat_family: 256 take about 1 s at q = 128 and depth 48, end to end.
+MAX_HATS = 256
 TORUS_RESIDUALS = ("relation_residual", "clock_order_residual", "shift_order_residual")
 # Residual fields of ThetaHalvingReport and AmplificationIsoReport, reported by name.
 STEP_RESIDUALS = ("target_relation_residual", "image_relation_residual",
@@ -134,7 +136,7 @@ def _functions_from_params(params: dict) -> list[CompactFunction]:
         _require_known(choice, ("hat_family",), "tower: functions")
         fam = choice["hat_family"]
         _require_known(fam, ("count", "max_center", "half_width"), "tower: hat_family")
-        count = _read(fam, "count", "tower: hat_family", 5, integer=True, low=1)
+        count = _read(fam, "count", "tower: hat_family", 5, integer=True, low=1, high=MAX_HATS)
         spread = _read(fam, "max_center", "tower: hat_family", 0.6)
         half_width = _read(fam, "half_width", "tower: hat_family", 0.3)
         try:
@@ -166,8 +168,9 @@ def _level_pairs_from_params(params: dict, min_level: int, depth: int) -> list[t
     ):
         raise ConfigError("tower: 'level_pairs' must be \"all\" or a list of integer pairs [a, b]")
     for a, b in choice:
-        if not (min_level <= a <= depth and min_level <= b <= depth):
-            raise ConfigError(f"tower: level pair ({a}, {b}) outside {min_level}..{depth}")
+        if a == b or not (min_level <= a <= depth and min_level <= b <= depth):
+            # A level compared with itself would pass whatever the branches do.
+            raise ConfigError(f"tower: level pair ({a}, {b}) equal or outside {min_level}..{depth}")
     # Repeats would cost memory in every check and change no residual.
     return list(dict.fromkeys((a, b) for a, b in choice))
 
@@ -277,9 +280,8 @@ def _read_lemma_iso(params: dict, seed: int, max_dim: int):
         eta = BranchFunction.with_flipped_arc(n, flip_start, flip_end, flip_k)
     except ValueError as exc:
         raise ConfigError(f"lemma_iso: {exc}") from exc
-    # The base words are powers u**k with |k| <= word_cap, at most q of them independent.
-    # The word budget bounds memory too: the check holds index arrays of the
-    # words and n*|a| rank rows of q entries.
+    # The base words are powers u**k with |k| <= word_cap, one per distinct eigenvalue at most.
+    # The word budget bounds memory too: the largest arrays index the words.
     base_words = min(2 * word_cap + 1, torus.q, MAX_BASE_WORDS)
     if n * n * base_words * m * m > WORD_BUDGET:
         raise ConfigError(f"lemma_iso: n={n}, m={m} give over {WORD_BUDGET} amplified words")

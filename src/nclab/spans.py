@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
+    CLUSTER_GAP,
     Orthonormalizer,
+    _cluster_indices,
     as_operator,
     hs_norm,
     spectral_decompose,
@@ -33,7 +35,7 @@ from .roots import BranchFunction, branch_quotient
 
 RANK_TOL = 1e-8
 WORD_BUDGET = 200_000
-# Capacity of the base-word basis of amplification_iso_check.
+# Most base words u**a that amplification_iso_check takes.
 MAX_BASE_WORDS = 24
 # Rows of the basis Gram matrix formed at a time by the orthonormality check.
 GRAM_BLOCK_ROWS = 32
@@ -265,15 +267,15 @@ def amplification_iso_check(
     The bound holds for the legs as functions of the decomposition, which
     reproduces ``u`` only within its reconstruction residual.
 
-    The base words are u**a for a = 0, 1, -1, ..., L, -L, each kept when it
-    extends the span of those before it, up to ``MAX_BASE_WORDS``: over any
-    unitary the kept exponents form a contiguous run, so a power is rejected
-    only once the algebra is full.  Span dimensions of domain and image words
-    are compared for bijectivity.  As w**n = I, the words span
-    (sum_k root**k A) (x) W (x) M_m with W = span{w**j : j < n}: each
-    dimension is two ranks of rows of q eigenvalues times m**2.  The
-    amplification leg is sampled as correction powers tensor matrix units,
-    the smallest truncation on which the correction acts.
+    The base words are u**a for a = 0, 1, -1, ..., L, -L, at most
+    ``MAX_BASE_WORDS`` and at most one per distinct eigenvalue of u.  As
+    w**n = I, the words span (sum_k root**k A) (x) W (x) M_m with
+    W = span{w**j : j < n}, whose dimensions, compared for bijectivity, are
+    counted: powers in a contiguous run of exponents span min(run, distinct
+    values) dimensions (Vandermonde), and root**k u**a = root**(k + n a) runs
+    over n*|a| exponents of the root values, clustered at ``CLUSTER_GAP / n``.
+    The amplification leg is sampled as correction powers tensor matrix
+    units, the smallest truncation on which the correction acts.
     """
     if xi.n != eta.n:
         raise ValueError(f"branch orders differ: {xi.n} vs {eta.n}")
@@ -292,8 +294,7 @@ def amplification_iso_check(
     # A contiguous run of at most MAX_BASE_WORDS exponents needs none past this.
     top = min(L, MAX_BASE_WORDS // 2)
     exponents = np.array([0] + [e * sign for e in range(1, top + 1) for sign in (1, -1)])
-    candidates = lam ** exponents[:, None]
-    a_words = candidates[Orthonormalizer(MAX_BASE_WORDS, dec.dim, RANK_TOL).extend(candidates)]
+    a_words = lam ** exponents[: min(MAX_BASE_WORDS, len(dec.clusters)), None]
 
     k, a, j, x = np.indices((n, len(a_words), n, m * m)).reshape(4, -1)
     total = len(k)
@@ -333,15 +334,12 @@ def amplification_iso_check(
     root_b, a_b, w_pow = eta_pows[k[ws]], a_words[a[ws]], w_pows[k[ws] + j[ws]]
     module_res = _tensor_difference_bound((g * root_b) * a_b, w_pow, g * (root_b * a_b), w_pow)
 
-    w_span = Orthonormalizer(n, dec.dim, RANK_TOL)
-    w_span.extend(w_pows[:n])
+    # The values of w are e^(2 pi i (b_xi - b_eta) / n), b the branch indices.
+    w_rank = len(set((xi.branch_index(dec.angles) - eta.branch_index(dec.angles)) % n))
     span_dims = []
     for root_pows in (xi_pows, eta_pows):
-        # Rank rows go in one root power at a time, n*|a| rows of q entries in all.
-        rows = Orthonormalizer(n * len(a_words), dec.dim, RANK_TOL)
-        for p in root_pows:
-            rows.extend(p * a_words)
-        span_dims.append(rows.count * w_span.count * m * m)
+        roots = len(_cluster_indices(np.sort(np.angle(root_pows[1])), CLUSTER_GAP / n))
+        span_dims.append(min(n * len(a_words), roots) * w_rank * m * m)
     dom_dim, img_dim = span_dims
     return AmplificationIsoReport(
         multiplicativity_residual=scale**2 * product_bound(eta_pows, 1),

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from nclab.cli import (
     KINDS,
+    MAX_HATS,
     MAX_NUMERATOR,
     MAX_SPAN_DIM,
     ConfigError,
@@ -75,6 +76,10 @@ MALFORMED = {
         "kind": "tower",
         "parameters": {**TORUS, "functions": {"hat_family": {"count": 0}}},
     },
+    "hat count beyond limit": {
+        "kind": "tower",
+        "parameters": {**TORUS, "functions": {"hat_family": {"count": MAX_HATS + 1}}},
+    },
     "no functions": {"kind": "tower", "parameters": {**TORUS, "functions": []}},
     "cube-root tower branch": {
         "kind": "tower",
@@ -82,6 +87,18 @@ MALFORMED = {
     },
     "theta zero": {"kind": "theta_tower", "parameters": {"p": 0, "q": 3, "steps": 1000}},
     "integer theta": {"kind": "theta_tower", "parameters": {"p": 6, "q": 3}},
+}
+
+# lemma_iso configs whose span dimensions a rank tolerance once told apart:
+# their rank rows are Vandermonde on nodes crowded into an arc.  The expected
+# dimension holds on both sides.
+COUNTED_DIMENSIONS = {
+    "m 4, word_cap 12": ({"q": 128, "m": 4, "word_cap": 12}, 1536),
+    "q 64, n 91": ({"q": 64, "n": 91, "m": 1, "word_cap": 12, "flip_start": -0.1,
+                    "flip_end": 0.1}, 128),
+    "q 128, n 42": ({"q": 128, "n": 42, "m": 1, "word_cap": 12, "flip_start": -0.1,
+                     "flip_end": 0.1}, 256),
+    "word guard limit": ({"q": 128, "n": 91, "m": 1, "word_cap": 12}, 256),
 }
 
 # A key that the experiment does not read, which must exit 2 naming the key:
@@ -346,7 +363,7 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Index arrays of the words and n*|a| rank rows of q entries: 18 MiB.
+        # The index arrays of the words: 15 MiB.
         assert peak < 32 * 2**20
         assert report["details"]["word_count"] == 24 * 91**2
 
@@ -367,6 +384,23 @@ class TestRunExperiment:
         single, repeated = reports
         assert repeated["details"]["pairs"] == 2
         assert repeated["residuals"] == single["residuals"]
+
+    def test_hat_count_at_its_limit(self, tmp_path, capsys):
+        assert MAX_HATS == 256
+        hats = {"functions": {"hat_family": {"count": MAX_HATS}}}
+        config = {"kind": "tower", "parameters": {"p": 1, "q": 8, "depth": 3, **hats}}
+        assert main(["run", write_config(tmp_path, config)]) == 0
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        assert report["details"]["functions"] == MAX_HATS
+
+    @pytest.mark.parametrize(
+        "params, dim", COUNTED_DIMENSIONS.values(), ids=COUNTED_DIMENSIONS.keys()
+    )
+    def test_lemma_iso_dimensions_counted(self, tmp_path, capsys, params, dim):
+        config = {"kind": "lemma_iso", "parameters": {"p": 1, **params}}
+        assert main(["run", write_config(tmp_path, config)]) == 0
+        details = json.loads(capsys.readouterr().out)["reports"][0]["details"]
+        assert details["domain_span_dim"] == details["image_span_dim"] == dim
 
     def test_lemma_iso_word_guard_at_its_limit(self):
         # n=2 and 2 base words at q=2: 8 * m**2 amplified words.
@@ -495,7 +529,7 @@ class TestMainExitCodes:
         assert "experiment 1: " in captured.err and message in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("pairs", [[[1]], "x", [[1, 2, 3]], [[1, "a"]]])
+    @pytest.mark.parametrize("pairs", [[[1]], "x", [[1, 2, 3]], [[1, "a"]], [[1, 1]]])
     def test_malformed_level_pairs_exit_two(self, tmp_path, capsys, pairs):
         cfg = write_config(
             tmp_path, {"kind": "tower", "parameters": {"p": 1, "q": 4, "level_pairs": pairs}}

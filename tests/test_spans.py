@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nclab import (
     BranchFunction,
     TorusParams,
     amplification_iso_check,
+    branch_quotient,
     clock_matrix,
     clock_shift,
     correction_unitary,
@@ -23,7 +24,7 @@ from nclab import (
     spectral_decompose,
 )
 from nclab.operators import Orthonormalizer
-from nclab.spans import RANK_TOL, WORD_BUDGET, _word_levels
+from nclab.spans import MAX_BASE_WORDS, RANK_TOL, WORD_BUDGET, _word_levels
 
 
 def _kron3(a, b, c):
@@ -242,6 +243,16 @@ def two_leg_oracle(A_generators, u, xi, eta, m, L, seed=0, max_pairs=200) -> dic
         "word_count": len(words),
         "pair_count": len(pairs),
     }
+
+
+def clear_rank(rows):
+    """Numerical rank of ``rows`` when its singular values split clearly,
+    above 1e-6 or below 1e-12 of the largest; None when one lies between."""
+    s = np.linalg.svd(rows, compute_uv=False)
+    s = s / s[0]
+    if np.any((s > 1e-12) & (s < 1e-6)):
+        return None
+    return int(np.sum(s >= 1e-6))
 
 
 class TestGenerateSpan:
@@ -526,6 +537,67 @@ class TestAmplificationIso:
             for honest, lower, scale in expected:
                 slack = 4 * q * q * np.finfo(float).eps * scale
                 assert lower - slack <= honest <= reported + slack, key
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.integers(1, 8),
+        n=st.integers(2, 4),
+        L=st.integers(1, 4),
+        spectrum=st.sampled_from(["random", "clock", "repeated", "rotated repeated"]),
+    )
+    def test_counted_dimensions_match_svd_ranks(self, seed, q, n, L, spectrum):
+        # The check counts its span dimensions; wherever the singular values
+        # of its rank rows show a clear gap, the count is their numerical rank.
+        # With m = 1 the check takes word_count / n**2 base words.
+        rng = np.random.default_rng(seed)
+        if spectrum == "random":
+            u = random_unitary(q, rng)
+        elif spectrum == "clock":
+            u = clock_matrix(int(rng.integers(0, q)), q)
+        else:
+            # Repeated phases, two of them one cluster across the cut at +-pi.
+            phases = rng.choice([np.pi - 1e-9, -np.pi + 1e-9, 0.0, 1.0, 2.5], size=q)
+            u = np.diag(np.exp(1j * phases))
+            if spectrum == "rotated repeated":
+                v = random_unitary(q, rng)
+                u = v @ u @ v.conj().T
+        xi, eta = BranchFunction.random(n, rng), BranchFunction.random(n, rng)
+        iso = amplification_iso_check(u, xi, eta, 1, L)
+        dec = spectral_decompose(u)
+        lam = dec.eigenvalues()
+        top = min(L, MAX_BASE_WORDS // 2)
+        exponents = np.array([0] + [e * sign for e in range(1, top + 1) for sign in (1, -1)])
+        a_words = lam ** exponents[: iso.word_count // (n * n), None]
+        w = branch_quotient(xi, eta)(dec.angles)
+        rows = [lam ** exponents[:, None], w ** np.arange(n)[:, None]]
+        for f in (xi, eta):
+            root = f.root_value(dec.angles)
+            rows.append(np.concatenate([root**k * a_words for k in range(n)]))
+        ranks = [clear_rank(r) for r in rows]
+        assume(None not in ranks)
+        base_rank, w_rank, domain_rank, image_rank = ranks
+        assert len(a_words) == base_rank
+        assert iso.domain_span_dim == domain_rank * w_rank
+        assert iso.image_span_dim == image_rank * w_rank
+
+    @pytest.mark.parametrize(
+        "angles, flip_start, dims",
+        [
+            # A flipped arc starting inside a degenerate cluster splits its
+            # roots on the image side only: an eigenangle on a branch cut.
+            ([0.5, 0.5 + 1e-10, 2.0], 0.5 + 5e-11, (4, 6)),
+            # One cluster across the cut at +-pi under one branch index, whose
+            # principal square roots are near i and -i.
+            ([np.pi - 1e-9, -np.pi + 1e-9, 1.0], 0.5, (6, 6)),
+        ],
+        ids=["split cluster", "cluster across the cut"],
+    )
+    def test_span_dimensions_on_degenerate_clusters(self, angles, flip_start, dims):
+        u = np.diag(np.exp(1j * np.array(angles)))
+        eta = BranchFunction.with_flipped_arc(2, flip_start, 1.5)
+        iso = amplification_iso_check(u, BranchFunction.principal(2), eta, 1, 3)
+        assert (iso.domain_span_dim, iso.image_span_dim) == dims
 
     def test_amplified_working_set(self):
         # (q, m, L, n) = (12, 4, 4, 2): the three-leg words are 576 x 576, and
