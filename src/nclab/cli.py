@@ -230,7 +230,8 @@ def _read_tower(params: dict, seed: int, max_dim: int):
     branches = _branches_from_params(params, depth)
     functions = _functions_from_params(params)
     min_level = max(f.support_exponent for f in functions)
-    pairs = _level_pairs_from_params(params, min_level, depth)
+    # Converted once here, not once per hat.
+    pairs = np.array(_level_pairs_from_params(params, min_level, depth))
 
     def compute():
         tower = build_tower(clock_matrix(torus.p, torus.q), depth, branches)

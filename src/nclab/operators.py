@@ -79,10 +79,19 @@ def unitarity_defect(u) -> float:
     return operator_norm(u.conj().T @ u - np.eye(u.shape[0]))
 
 
+def _diagonal_unitarity_defect(d: np.ndarray) -> float:
+    """||diag(d)† diag(d) - I|| = max | |d_i|**2 - 1 |, with no product."""
+    return float(np.abs(d.real**2 + d.imag**2 - 1).max())
+
+
 def require_unitary(u) -> np.ndarray:
-    """Validate ``u`` as unitary within ``TOL_UNITARY`` and return it as an array."""
+    """Validate ``u`` as unitary within ``TOL_UNITARY`` and return it as an array;
+    a diagonal ``u`` is measured on its diagonal alone."""
     u = as_operator(u)
-    defect = unitarity_defect(u)
+    if _is_diagonal(u):
+        defect = _diagonal_unitarity_defect(np.diagonal(u))
+    else:
+        defect = unitarity_defect(u)
     if defect > TOL_UNITARY:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds {TOL_UNITARY:.3e}")
     return u
@@ -243,10 +252,13 @@ def spectral_decompose(u) -> SpectralDecomposition:
     then sorted ascending and the basis canonicalized within each degeneracy
     cluster against the standard basis.  Rejects inputs whose unitarity
     defect exceeds ``TOL_UNITARY``; the output reproduces the input within
-    ``TOL_SPECTRAL``.
+    ``TOL_SPECTRAL``.  On diagonal input the eigenvectors are a permutation,
+    so the unitarity, basis and reconstruction checks are read off diagonals
+    in closed form and no q x q product is formed.
     """
     u = require_unitary(u)
-    if _is_diagonal(u):
+    diagonal = _is_diagonal(u)
+    if diagonal:
         eig, z = np.diagonal(u), np.eye(len(u), dtype=complex)
     else:
         # Every eigenvalue of w is at least half the widest gap, >= pi/q, from
@@ -266,13 +278,28 @@ def spectral_decompose(u) -> SpectralDecomposition:
     vectors = z[:, order]
     clusters = _cluster_indices(angles, CLUSTER_GAP)
     vectors = _canonical_cluster_basis(vectors, clusters)
-    dec = SpectralDecomposition(angles, vectors, clusters, unitarity_defect(vectors))
-    residual = operator_norm(dec.reconstruct() - u)
+    if diagonal:
+        # V is a permutation: δ = 0 exactly, and V diag(e^{i angle}) V† - u is diagonal.
+        dec = SpectralDecomposition(angles, vectors, clusters, 0.0)
+        residual = _diagonal_distance(dec, dec.eigenvalues(), u)
+    else:
+        dec = SpectralDecomposition(angles, vectors, clusters, unitarity_defect(vectors))
+        residual = operator_norm(dec.reconstruct() - u)
     if residual > TOL_SPECTRAL:
         raise ArithmeticError(
             f"spectral reconstruction residual {residual:.3e} exceeds {TOL_SPECTRAL:.3e}"
         )
     return dec
+
+
+def _diagonal_distance(dec: SpectralDecomposition, values: np.ndarray, u: np.ndarray) -> float:
+    """||V diag(values) V† - u|| for a diagonal ``u`` decomposed as ``dec``.
+
+    Its eigenvectors V are a permutation σ, so the difference is the diagonal
+    values_i - u_σ(i)σ(i), with u_σ(i)σ(i) = (Vᵀ diag(u))_i exactly, and its
+    norm is their largest modulus: O(q**2), with no q x q product.
+    """
+    return float(np.abs(values - dec.vectors.T @ np.diagonal(u)).max())
 
 
 def apply_circle_function(dec: SpectralDecomposition, g) -> np.ndarray:

@@ -103,8 +103,8 @@ def _shift_relation_residual(d: np.ndarray, phase: float) -> float:
     """||diag(d) V - e^{2 pi i phase} V diag(d)|| for the cyclic shift V.
 
     The difference is monomial, with the entries d_i - w d_{i-1} at (i, i-1),
-    so its norm is their largest modulus."""
-    return float(np.abs(d - np.exp(2j * np.pi * phase) * np.roll(d, 1, axis=0)).max())
+    so its norm is their largest modulus; d_{i-1} wraps around at i = 0."""
+    return float(np.abs(d - np.exp(2j * np.pi * phase) * d[np.arange(len(d)) - 1]).max())
 
 
 def _diagonal_order_residual(d: np.ndarray, n: int) -> float:

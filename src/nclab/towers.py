@@ -17,6 +17,8 @@ import numpy as np
 from .operators import (
     TWO_PI,
     SpectralDecomposition,
+    _diagonal_distance,
+    _is_diagonal,
     apply_circle_function,
     as_operator,
     operator_norm,
@@ -138,8 +140,9 @@ class RootTower:
     """Square-root tower u_0, u_1, ..., u_L with u_k**2 = u_{k-1}.
 
     No level is stored as a matrix.  All levels share the eigenvectors V of
-    ``base``, the base's spectral decomposition; ``angles[k]`` holds level k's
-    eigenangles on (-pi, pi] in its column order, and ``level(k)`` forms
+    ``base``, the base's spectral decomposition; ``angles`` is one
+    ``(depth + 1, q)`` array whose row k holds level k's eigenangles on
+    (-pi, pi] in V's column order, and ``level(k)`` forms
     u_k = V diag(e^{i angles[k]}) V† on demand.  ``residuals[k-1]`` bounds
     ||u_k**2 - u_{k-1}|| (see :func:`build_tower`).
     """
@@ -147,7 +150,7 @@ class RootTower:
     branches: list[BranchFunction]
     residuals: list[float]
     base: SpectralDecomposition
-    angles: list[np.ndarray]
+    angles: np.ndarray
 
     @property
     def depth(self) -> int:
@@ -179,13 +182,16 @@ def build_tower(
     back onto the one below.  The base is decomposed once; a level's angles
     are its branch's root angles of the level below, folded into (-pi, pi].
 
-    Level 1's residual is the honest ||u_1 @ u_1 - u|| against the input u,
-    so it carries the base's reconstruction error.  For k >= 2 it is
+    Level 1's residual is ||u_1 @ u_1 - u|| against the input u, so it
+    carries the base's reconstruction error: on a diagonal u, whose
+    eigenvectors are a permutation, it is max |μ_1**2 - u_σ(i)σ(i)| in closed
+    form, and on any other u the honest product.  For k >= 2 it is
     (1 + δ)(max |μ_k**2 - μ_{k-1}| + δ), elementwise on μ_k = e^{i angles[k]}, with
     δ the base's ``basis_defect``, which bounds ||u_k**2 - u_{k-1}||, since
     u_k**2 - u_{k-1} = V (D_k**2 - D_{k-1}) V† + V D_k (V†V - I) D_k V† and
     ||V X V†|| <= (1 + δ) ||X||; on a clock base (δ = 0) it is the exact
-    elementwise maximum.  No level is formed beyond level 1.
+    elementwise maximum.  No level is formed beyond level 1, and none at all
+    on a diagonal u.
     """
     u = as_operator(u)
     if depth < 1:
@@ -202,20 +208,20 @@ def build_tower(
             raise ValueError("tower branches must be square-root branches (order 2)")
     base = spectral_decompose(u)
     delta = base.basis_defect
-    angles = [base.angles]
-    residuals = []
+    angles = np.empty((depth + 1, base.dim))
+    angles[0] = base.angles
     for k, b in enumerate(branches, 1):
-        a = b.root_angle(angles[-1])
-        angles.append(np.where(a > np.pi, a - TWO_PI, a))
-        if k == 1:
-            # The one honest product: it ties the tower to u.
-            nxt = replace(base, angles=angles[1]).reconstruct()
-            residual = operator_norm(nxt @ nxt - u)
-        else:
-            mu, below = np.exp(1j * angles[k]), np.exp(1j * angles[k - 1])
-            residual = float((1.0 + delta) * (np.abs(mu * mu - below).max() + delta))
-        residuals.append(residual)
-    return RootTower(branches, residuals, base, angles)
+        a = b.root_angle(angles[k - 1])
+        angles[k] = np.where(a > np.pi, a - TWO_PI, a)
+    mu = np.exp(1j * angles)
+    # Level 1 ties the tower to u.
+    if _is_diagonal(u):
+        first = _diagonal_distance(base, mu[1] * mu[1], u)
+    else:
+        nxt = replace(base, angles=angles[1]).reconstruct()
+        first = operator_norm(nxt @ nxt - u)
+    rest = (1.0 + delta) * (np.abs(mu[2:] * mu[2:] - mu[1:-1]).max(axis=1) + delta)
+    return RootTower(branches, [first, *rest.tolist()], base, angles)
 
 
 def _require_level(tower: RootTower, k: int) -> None:
@@ -235,7 +241,7 @@ def _level_values(tower: RootTower, f: CompactFunction, levels) -> np.ndarray:
     if levels[-1] > tower.depth:
         _require_level(tower, levels[levels > tower.depth][0])
     scales = 2.0 ** levels / np.pi
-    values = np.asarray(f(scales[:, None] * np.array([tower.angles[k] for k in levels])), complex)
+    values = np.asarray(f(scales[:, None] * tower.angles[levels]), complex)
     if not np.all(np.isfinite(values)):
         raise ValueError("circle function is not finite on every eigenangle")
     return values
@@ -253,15 +259,16 @@ def embed_compact_function(tower: RootTower, f: CompactFunction, level: int) -> 
 
 
 def max_level_independence(tower: RootTower, f: CompactFunction, pairs) -> float:
-    """(1 + δ) max_i |f_a(angle_i) - f_b(angle_i)| over the level pairs (a, b),
-    a certified upper bound on max ||embed(f, a) - embed(f, b)||; 0 for none.
+    """(1 + δ) max_i |f_a(angle_i) - f_b(angle_i)| over the level pairs (a, b)
+    (a sequence of pairs or a (count, 2) integer array): a certified upper
+    bound on max ||embed(f, a) - embed(f, b)||; 0 for none.
 
     A difference of levels is V diag(f_a - f_b) V† on the tower's shared
     eigenvectors V, whose norm lies within a factor 1 ± δ of the diagonal's
     maximum, δ = ||V†V - I|| being the base's ``basis_defect``.  The working
     set is pairs * q.  Raises the errors of ``embed_compact_function``.
     """
-    pairs = np.asarray(list(pairs)).reshape(-1, 2)
+    pairs = np.asarray(pairs).reshape(-1, 2)
     if not len(pairs):
         return 0.0
     levels, index = np.unique(pairs, return_inverse=True)

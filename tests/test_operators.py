@@ -30,6 +30,8 @@ from nclab.operators import (
     SpectralDecomposition,
     _canonical_cluster_basis,
     _cluster_indices,
+    _diagonal_distance,
+    _diagonal_unitarity_defect,
     _normalize_angles,
 )
 
@@ -195,6 +197,39 @@ class TestDiagonalInput:
         assert np.array_equal(d.angles, reference.angles)
         assert np.array_equal(d.vectors, reference.vectors)
         assert d.clusters == reference.clusters
+
+    @settings(max_examples=100, deadline=None)
+    @given(diagonal_unitaries(), st.floats(0.9, 1.1))
+    def test_closed_forms_match_the_dense_formulas(self, u, scale):
+        # The dense ||u†u - I|| and ||V diag(e^{i angle}) V† - u|| are the oracle;
+        # the first is also drawn off unitarity, on an entry scaled by ``scale``.
+        q = len(u)
+        off = u.copy()
+        off[0, 0] *= scale
+        for v in (u, off):
+            assert abs(_diagonal_unitarity_defect(np.diagonal(v)) - unitarity_defect(v)) <= q * EPS
+        d = spectral_decompose(u)
+        dense = operator_norm(d.reconstruct() - u)
+        assert abs(_diagonal_distance(d, d.eigenvalues(), u) - dense) <= q * EPS
+
+    @pytest.mark.parametrize(
+        "diagonal, error",
+        [
+            ([1.0, 1.0 + 1e-9], "matrix is not unitary"),
+            ([1.0, 2j], "matrix is not unitary"),
+            ([1.0, 0.0], "matrix is not unitary"),
+            ([1.0, np.nan], "finite"),
+            ([np.inf, 1.0], "finite"),
+        ],
+    )
+    def test_rejects_as_the_dense_check_does(self, diagonal, error):
+        u = np.diag(np.array(diagonal, dtype=complex))
+        with pytest.raises(ValueError, match=error) as closed_form:
+            spectral_decompose(u)
+        with mock.patch.object(operators, "_is_diagonal", return_value=False):
+            with pytest.raises(ValueError) as dense:
+                spectral_decompose(u)
+        assert str(closed_form.value) == str(dense.value)
 
 
 class TestSpectralDecompose:

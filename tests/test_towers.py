@@ -1,5 +1,7 @@
 """Tests for square-root towers and compactly supported function embeddings."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,19 @@ from nclab import (
     multiplier_membership_check,
     nth_root_branch,
     operator_norm,
+    operators,
     random_unitary,
     shift_matrix,
+    towers,
 )
-from nclab.operators import SpectralDecomposition, unitarity_defect
+from nclab.operators import (
+    TWO_PI,
+    SpectralDecomposition,
+    _diagonal_distance,
+    _diagonal_unitarity_defect,
+    spectral_decompose,
+    unitarity_defect,
+)
 from nclab.roots import TOL_ROOT
 from nclab.towers import MAX_TOWER_DEPTH
 
@@ -189,14 +200,90 @@ class TestSquaringResiduals:
 
         monkeypatch.setattr(SpectralDecomposition, "reconstruct", counted)
         t = build_tower(clock_matrix(1, 128), MAX_TOWER_DEPTH, PRINCIPAL)
-        # The decomposition's own check and level 1.
-        assert len(calls) <= 2
-        calls.clear()
+        assert calls == []
         levels = range(t.depth + 1)
         max_level_independence(t, hat(), [(a, b) for a in levels for b in levels])
         for k in levels:
             t.decomposition(k)
         assert calls == []
+
+
+def exact_clock_angles(p, q, tower):
+    """Level k's angles of a tower over clock(p, q), each π n / (q 2**(k-1)) with
+    the integer n in (-q 2**(k-1), q 2**(k-1)] computed in Python integers, then
+    rounded.  Column i of the base's permutation V is e_σ(i), whose eigenvalue
+    is e^{2πi m/q} with m = p σ(i) mod q.  A branch index b below adds π b, and
+    each level takes b from the tower's branch at the tower's angle below."""
+    sigma = np.argmax(np.abs(tower.base.vectors), axis=0)
+    den = q / 2
+    numerators = [(p % q) * int(j) % q for j in sigma]
+    numerators = [m - q if 2 * m > q else m for m in numerators]
+    rows = [[math.pi * (n / den) for n in numerators]]
+    for k in range(1, tower.depth + 1):
+        den = q * 2 ** (k - 1)
+        b = tower.branches[k - 1].branch_index(tower.angles[k - 1])
+        numerators = [n + int(bi) * den for n, bi in zip(numerators, b)]
+        numerators = [n - 2 * den if n > den else n for n in numerators]
+        rows.append([math.pi * (n / den) for n in numerators])
+    return np.array(rows)
+
+
+@st.composite
+def clock_towers(draw):
+    """A tower of depth <= 48 over clock(p, q), |p| <= 2**53 and q <= 128, with
+    principal or random branches; returns p, q and the tower."""
+    p, q = draw(st.integers(-(2**53), 2**53)), draw(st.integers(1, 128))
+    depth = draw(st.integers(1, MAX_TOWER_DEPTH))
+    branches = PRINCIPAL
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        branches = [BranchFunction.random(2, rng) for _ in range(depth)]
+    return p, q, build_tower(clock_matrix(p, q), depth, branches)
+
+
+class TestClockTowers:
+    """On a clock base every angle is known exactly and every check is read off
+    a diagonal; the dense formulas are the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clock_towers())
+    def test_angles_are_the_exact_phases(self, case):
+        # Level 0 carries np.angle's roundoff; each level halves the error
+        # below and adds at most about two ulps of pi, so it stays near 4 ulps.
+        # The distance is taken on the circle: at depth 48 and q = 128 a phase
+        # lies within float resolution of the cut, and rounding may fold it.
+        p, q, tower = case
+        assert np.all((-np.pi < tower.angles) & (tower.angles <= np.pi))
+        error = np.remainder(tower.angles - exact_clock_angles(p, q, tower) + np.pi, TWO_PI) - np.pi
+        assert np.abs(error).max() <= 8 * np.spacing(np.pi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(clock_towers())
+    def test_closed_form_residuals_match_the_dense_formulas(self, case):
+        p, q, tower = case
+        u, base = clock_matrix(p, q), tower.base
+        slack = q * np.finfo(float).eps
+        assert abs(_diagonal_unitarity_defect(np.diagonal(u)) - unitarity_defect(u)) <= slack
+        assert base.basis_defect == unitarity_defect(base.vectors) == 0.0
+        dense = operator_norm(base.reconstruct() - u)
+        assert abs(_diagonal_distance(base, base.eigenvalues(), u) - dense) <= slack
+        level = tower.level(1)
+        assert abs(tower.residuals[0] - operator_norm(level @ level - u)) <= slack
+
+    def test_forms_no_dense_check(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("a q x q check on diagonal input")
+
+        monkeypatch.setattr(operators, "unitarity_defect", dense)
+        monkeypatch.setattr(SpectralDecomposition, "reconstruct", dense)
+        monkeypatch.setattr(towers, "operator_norm", dense)
+        u = clock_matrix(1, 128)
+        assert spectral_decompose(u).basis_defect == 0.0
+        assert max(build_tower(u, MAX_TOWER_DEPTH, PRINCIPAL).residuals) <= TOL_ROOT
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            build_tower(np.diag([1.0, 1.0 + 1e-9]), 1, PRINCIPAL)
+        with pytest.raises(ValueError, match="finite"):
+            build_tower(np.diag([1.0, np.nan]), 1, PRINCIPAL)
 
 
 class TestEmbedCompactFunction:
