@@ -71,14 +71,16 @@ class ExperimentConfig:
 
 def _read(obj: dict, key: str, where: str, default=None, integer=False, low=None, high=None):
     """``obj[key]``, or ``default`` if absent, as a finite number in [low, high],
-    integral if ``integer``; ``ConfigError`` otherwise (strings, null, bools)."""
+    integral if ``integer``; ``ConfigError`` otherwise (strings, null, bools,
+    integers beyond the range of a float)."""
     if key not in obj:
         if default is None:
             raise ConfigError(f"{where} requires parameter '{key}'")
         return default
     value = obj[key]
-    finite = isinstance(value, float) and np.isfinite(value)
-    if not (finite or isinstance(value, int) and not isinstance(value, bool)):
+    # The bound fails for NaN and the infinities too.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
         raise ConfigError(f"{where}: '{key}' must be a finite number, got {value!r}")
     if integer and value != int(value):
         raise ConfigError(f"{where}: '{key}' must be an integer, got {value!r}")
@@ -114,8 +116,14 @@ def _branches_from_params(params: dict, depth: int) -> BranchFunction | list[Bra
     if len(choice) != depth:
         raise ConfigError(f"tower: need {depth} branches, got {len(choice)}")
     try:
+        for i, branch in enumerate(choice):
+            _read(branch, "n", f"tower: branch {i}", integer=True)
+            for arc in branch["arcs"]:
+                _read(arc, "k", f"tower: branch {i} arc", integer=True)
         branches = [BranchFunction.from_json(b) for b in choice]
-    except (KeyError, TypeError, ValueError) as exc:
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"tower: bad branch data: {exc}") from exc
     if any(b.n != 2 for b in branches):
         raise ConfigError("tower: every branch must be a square-root branch (n = 2)")
@@ -145,8 +153,14 @@ def _functions_from_params(params: dict) -> list[CompactFunction]:
             raise ConfigError(f"tower: bad hat_family: {exc}") from exc
     if isinstance(choice, list) and choice:
         try:
+            for i, f in enumerate(choice):
+                # A support beyond the deepest tower leaves no level pair to compare.
+                _read(f, "support_exponent", f"tower: function {i}", integer=True, low=0,
+                      high=MAX_TOWER_DEPTH)
             return [CompactFunction.from_json(f) for f in choice]
-        except (KeyError, TypeError, ValueError) as exc:
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"tower: bad function data: {exc}") from exc
     raise ConfigError("tower: 'functions' must be a non-empty list or {\"hat_family\": {...}}")
 
@@ -424,7 +438,11 @@ def run_config(data, seed_override: int | None = None, max_dim: int = DEFAULT_MA
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The report as one compact line; ``python -m json.tool`` indents it."""
+    # Only a one-shot json.dumps without indent reaches CPython's C encoder:
+    # indent=2, or json.dump streaming to a file, takes the pure-Python
+    # _make_iterencode, about 3x slower on a batch report.
+    return json.dumps(report) + "\n"
 
 
 def render_csv(report: dict) -> str:

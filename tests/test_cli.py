@@ -89,6 +89,43 @@ MALFORMED = {
     "integer theta": {"kind": "theta_tower", "parameters": {"p": 6, "q": 3}},
 }
 
+# Numbers the runner must refuse by name (exit 2), not meet as a numerical
+# failure (exit 1) or truncate.  json reads 1e999 as inf, and a float() of an
+# integer past 1e308 overflows.
+HUGE = 10**400
+
+
+def _tower(**parameters):
+    return {"kind": "tower", "parameters": {"p": 1, "q": 8, "depth": 2, **parameters}}
+
+
+def _function(exponent, low=-1.0):
+    hat = {"breakpoints": [low, 0.0, 1.0], "values": [[0, 0], [1, 0], [0, 0]]}
+    return _tower(functions=[{"support_exponent": exponent, **hat}])
+
+
+def _branch(n=2, k=0, start=-np.pi):
+    arcs = [{"start": start, "end": np.pi, "k": k}]
+    return _tower(branches=[{"n": n, "arcs": arcs}, PRINCIPAL_BRANCH])
+
+
+BAD_NUMBERS = {
+    "infinite support_exponent": (_function(float("inf")), "'support_exponent'"),
+    "support_exponent 5000": (_function(5000), "'support_exponent'"),
+    "string support_exponent": (_function("1"), "'support_exponent'"),
+    "infinite branch n": (_branch(n=float("inf")), "'n'"),
+    "infinite arc k": (_branch(k=float("inf")), "'k'"),
+    "fractional n and k": (_branch(n=2.9, k=0.7), "'n'"),
+    "fractional arc k": (_branch(k=0.7), "'k'"),
+    "bool arc k": (_branch(k=False), "'k'"),
+    "huge arc start": (_branch(start=-HUGE), "bad branch data"),
+    "huge breakpoint": (_function(1, low=-HUGE), "bad function data"),
+    "huge flip_start": ({"kind": "lemma_iso", "parameters": {**TORUS, "flip_start": HUGE}},
+                        "'flip_start'"),
+    "huge threshold": ({"kind": "torus", "parameters": TORUS,
+                        "checks": {"relation_residual": HUGE}}, "'relation_residual'"),
+}
+
 # lemma_iso configs whose span dimensions a rank tolerance once told apart:
 # their rank rows are Vandermonde on nodes crowded into an arc.  The expected
 # dimension holds on both sides.
@@ -451,6 +488,22 @@ class TestRendering:
         assert "anticommute_demo" in text
         assert "overall=PASS" in text
 
+    def test_json_takes_the_c_encoder(self, monkeypatch):
+        # json's pure-Python encoder, which indent= or json.dump would take,
+        # is about 3x slower on a batch report: every kind renders without it,
+        # as one ASCII line that reads back equal.
+        def iterencode(*args, **kwargs):
+            raise AssertionError("pure-Python json encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", iterencode)
+        report = run_config(
+            [{"kind": kind, "name": f"θ-{kind} ✓", "parameters": params}
+             for kind, params in SMALL.items()]
+        )
+        text = render_json(report)
+        assert text.isascii() and text.count("\n") == 1
+        assert json.loads(text) == report
+
     def test_emit_to_file(self, tmp_path):
         out = tmp_path / "report.json"
         emit_report(self._report(), "json", str(out))
@@ -563,6 +616,11 @@ class TestMainExitCodes:
     def test_malformed_parameters_exit_two(self, tmp_path, capsys, config):
         assert main(["run", write_config(tmp_path, config)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, field", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+    def test_bad_number_exit_two(self, tmp_path, capsys, config, field):
+        assert main(["run", write_config(tmp_path, config)]) == 2
+        assert field in capsys.readouterr().err
 
     @settings(max_examples=150, deadline=None)
     @given(config=_CONFIGS)
