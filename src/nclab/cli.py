@@ -43,6 +43,9 @@ MAX_NUMERATOR = 2**53
 MAX_SPAN_DIM = 32
 # Hats in a hat_family: 256 take about 1 s at q = 128 and depth 48, end to end.
 MAX_HATS = 256
+# A difference of two values of a function is at most twice its largest
+# modulus, and (1 + δ) times that stays finite: no Infinity in the report.
+MAX_FUNCTION_MODULUS = sys.float_info.max / 4
 TORUS_RESIDUALS = ("relation_residual", "clock_order_residual", "shift_order_residual")
 # Residual fields of ThetaHalvingReport and AmplificationIsoReport, reported by name.
 STEP_RESIDUALS = ("target_relation_residual", "image_relation_residual",
@@ -115,18 +118,23 @@ def _branches_from_params(params: dict, depth: int) -> BranchFunction | list[Bra
         raise ConfigError("tower: 'branches' must be \"principal\" or a list of branch objects")
     if len(choice) != depth:
         raise ConfigError(f"tower: need {depth} branches, got {len(choice)}")
-    try:
-        for i, branch in enumerate(choice):
-            _read(branch, "n", f"tower: branch {i}", integer=True)
+    branches = []
+    for i, branch in enumerate(choice):
+        where = f"tower: branch {i}"
+        try:
+            _read(branch, "n", where, integer=True)
             for arc in branch["arcs"]:
-                _read(arc, "k", f"tower: branch {i} arc", integer=True)
-        branches = [BranchFunction.from_json(b) for b in choice]
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"tower: bad branch data: {exc}") from exc
-    if any(b.n != 2 for b in branches):
-        raise ConfigError("tower: every branch must be a square-root branch (n = 2)")
+                _read(arc, "k", f"{where} arc", integer=True)
+            # A run of equal branch objects shares one validated BranchFunction.
+            if i == 0 or branch != choice[i - 1]:
+                built = BranchFunction.from_json(branch)
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{where}: bad branch data: {exc}") from exc
+        if built.n != 2:
+            raise ConfigError(f"{where}: every branch must be a square-root branch (n = 2)")
+        branches.append(built)
     return branches
 
 
@@ -157,15 +165,32 @@ def _functions_from_params(params: dict) -> list[CompactFunction]:
                 # A support beyond the deepest tower leaves no level pair to compare.
                 _read(f, "support_exponent", f"tower: function {i}", integer=True, low=0,
                       high=MAX_TOWER_DEPTH)
-            return [CompactFunction.from_json(f) for f in choice]
+            functions = [CompactFunction.from_json(f) for f in choice]
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"tower: bad function data: {exc}") from exc
+        for i, f in enumerate(functions):
+            if f.sup_norm() > MAX_FUNCTION_MODULUS:
+                raise ConfigError(
+                    f"tower: function {i}: values must have modulus at most "
+                    f"{MAX_FUNCTION_MODULUS:.3e}"
+                )
+        return functions
     raise ConfigError("tower: 'functions' must be a non-empty list or {\"hat_family\": {...}}")
 
 
-def _level_pairs_from_params(params: dict, min_level: int, depth: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=16)
+def _all_pairs(min_level: int, depth: int) -> np.ndarray:
+    """Every level pair a < b in min_level..depth as a read-only (count, 2)
+    array, built once per distinct range; the towers of a config share it."""
+    first, second = np.triu_indices(depth - min_level + 1, 1)
+    pairs = np.stack([first, second], axis=1) + min_level
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _level_pairs_from_params(params: dict, min_level: int, depth: int) -> np.ndarray:
     choice = params.get("level_pairs", "all")
     if choice == [] or (choice == "all" and min_level >= depth):
         # A check over no pair would pass whatever the tower does.
@@ -173,7 +198,7 @@ def _level_pairs_from_params(params: dict, min_level: int, depth: int) -> list[t
             f"tower: no level pair between support exponent {min_level} and depth {depth}"
         )
     if choice == "all":
-        return [(a, b) for a in range(min_level, depth + 1) for b in range(a + 1, depth + 1)]
+        return _all_pairs(min_level, depth)
     if not isinstance(choice, list) or not all(
         isinstance(pair, list)
         and len(pair) == 2
@@ -186,7 +211,7 @@ def _level_pairs_from_params(params: dict, min_level: int, depth: int) -> list[t
             # A level compared with itself would pass whatever the branches do.
             raise ConfigError(f"tower: level pair ({a}, {b}) equal or outside {min_level}..{depth}")
     # Repeats would cost memory in every check and change no residual.
-    return list(dict.fromkeys((a, b) for a, b in choice))
+    return np.array(list(dict.fromkeys((a, b) for a, b in choice)))
 
 
 # A reader takes (parameters, seed, max_dim), raises ConfigError for any input
@@ -244,12 +269,11 @@ def _read_tower(params: dict, seed: int, max_dim: int):
     branches = _branches_from_params(params, depth)
     functions = _functions_from_params(params)
     min_level = max(f.support_exponent for f in functions)
-    # Converted once here, not once per hat.
-    pairs = np.array(_level_pairs_from_params(params, min_level, depth))
+    pairs = _level_pairs_from_params(params, min_level, depth)
 
     def compute():
         tower = build_tower(clock_matrix(torus.p, torus.q), depth, branches)
-        max_indep = max(max_level_independence(tower, f, pairs) for f in functions)
+        max_indep = max_level_independence(tower, functions, pairs)
         details = {"dim": torus.q, "depth": depth, "functions": len(functions), "pairs": len(pairs)}
         return [max(tower.residuals), max_indep], details
 

@@ -112,6 +112,11 @@ class BranchFunction:
             arcs.append((float(starts[i]), float(end), int(ks[i])))
         return cls(n, tuple(arcs))
 
+    @property
+    def is_principal(self) -> bool:
+        """Every arc has index 0, so ``root_angle`` is angle / n."""
+        return not self._indices.any()
+
     def branch_index(self, angle):
         """Branch index at ``angle``: the arc with the largest start <= angle."""
         # Before the first start, position -1 wraps to the last arc across the +pi cut.

@@ -11,6 +11,8 @@ breaks that independence by a visible amount.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .roots import BranchFunction
 # Angle halving is exact; 48 stays because a principal level there is within
 # pi * 2**-48 (1.1e-14) of I, the roundoff of a product at dimension 128.
 MAX_TOWER_DEPTH = 48
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 @dataclass
@@ -181,6 +184,10 @@ def build_tower(
     of length ``depth``; ``residuals`` records how far each level squares
     back onto the one below.  The base is decomposed once; a level's angles
     are its branch's root angles of the level below, folded into (-pi, pi].
+    A principal branch (every arc index 0) maps θ ∈ (-pi, pi] to θ/2, which
+    needs no fold, so a run of j principal levels above θ is θ/2**i for
+    i = 1..j in one division (see :func:`_halvings`); only the other
+    branches take a ``root_angle`` step per level.
 
     Level 1's residual is ||u_1 @ u_1 - u|| against the input u, so it
     carries the base's reconstruction error: on a diagonal u, whose
@@ -210,9 +217,17 @@ def build_tower(
     delta = base.basis_defect
     angles = np.empty((depth + 1, base.dim))
     angles[0] = base.angles
-    for k, b in enumerate(branches, 1):
-        a = b.root_angle(angles[k - 1])
-        angles[k] = np.where(a > np.pi, a - TWO_PI, a)
+    k = 0
+    for principal, run in groupby(branches, key=attrgetter("is_principal")):
+        if principal:
+            j = len(list(run))
+            angles[k + 1 : k + j + 1] = _halvings(angles[k], j)
+            k += j
+        else:
+            for b in run:
+                a = b.root_angle(angles[k])
+                k += 1
+                angles[k] = np.where(a > np.pi, a - TWO_PI, a)
     mu = np.exp(1j * angles)
     # Level 1 ties the tower to u.
     if _is_diagonal(u):
@@ -222,6 +237,22 @@ def build_tower(
         first = operator_norm(nxt @ nxt - u)
     rest = (1.0 + delta) * (np.abs(mu[2:] * mu[2:] - mu[1:-1]).max(axis=1) + delta)
     return RootTower(branches, [first, *rest.tolist()], base, angles)
+
+
+def _halvings(theta: np.ndarray, j: int) -> np.ndarray:
+    """Rows theta / 2**i for i = 1..j, equal to halving theta j times.
+
+    A quotient by a power of two is exact unless it falls below the smallest
+    normal float.  There halving level by level rounds at every step and one
+    division rounds once, and the two can differ in the last subnormal bit,
+    so a run that reaches that range is halved level by level.
+    """
+    run = theta / 2.0 ** np.arange(1, j + 1)[:, None]
+    deepest = np.abs(run[-1])
+    if np.any((deepest < _SMALLEST_NORMAL) & (deepest > 0)):
+        for i in range(1, j):
+            run[i] = run[i - 1] / 2
+    return run
 
 
 def _require_level(tower: RootTower, k: int) -> None:
@@ -258,27 +289,34 @@ def embed_compact_function(tower: RootTower, f: CompactFunction, level: int) -> 
     return apply_circle_function(tower.decomposition(level), lambda a: values)
 
 
-def max_level_independence(tower: RootTower, f: CompactFunction, pairs) -> float:
-    """(1 + δ) max_i |f_a(angle_i) - f_b(angle_i)| over the level pairs (a, b)
-    (a sequence of pairs or a (count, 2) integer array): a certified upper
-    bound on max ||embed(f, a) - embed(f, b)||; 0 for none.
+def max_level_independence(tower: RootTower, functions, pairs) -> float:
+    """(1 + δ) max |f_a(angle_i) - f_b(angle_i)| over the ``functions`` f (a
+    sequence) and the level pairs (a, b) (a sequence of pairs or a (count, 2)
+    integer array): a certified upper bound on max ||embed(f, a) - embed(f, b)||;
+    0 for no pair.
 
     A difference of levels is V diag(f_a - f_b) V† on the tower's shared
     eigenvectors V, whose norm lies within a factor 1 ± δ of the diagonal's
-    maximum, δ = ||V†V - I|| being the base's ``basis_defect``.  The working
-    set is pairs * q.  Raises the errors of ``embed_compact_function``.
+    maximum, δ = ||V†V - I|| being the base's ``basis_defect``.  The pairs are
+    indexed once for every function; each function takes one gather of its
+    level values, so the working set is pairs * q.  Raises the errors of
+    ``embed_compact_function`` for the first function that has one.
     """
     pairs = np.asarray(pairs).reshape(-1, 2)
     if not len(pairs):
         return 0.0
     levels, index = np.unique(pairs, return_inverse=True)
-    values = _level_values(tower, f, levels)
     first, second = index.reshape(-1, 2).T
-    return float((1.0 + tower.base.basis_defect) * np.abs(values[first] - values[second]).max())
+    worst = 0.0
+    for f in functions:
+        values = _level_values(tower, f, levels)
+        worst = max(worst, np.abs(values[first] - values[second]).max())
+    # Rounding is monotone, so scaling the maximum equals the maximum of the scaled.
+    return float((1.0 + tower.base.basis_defect) * worst)
 
 
 def level_independence_residual(
     tower: RootTower, f: CompactFunction, level_a: int, level_b: int
 ) -> float:
     """||embed(f, level_a) - embed(f, level_b)|| across two valid levels."""
-    return max_level_independence(tower, f, [(level_a, level_b)])
+    return max_level_independence(tower, [f], [(level_a, level_b)])

@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nclab import BranchFunction
 from nclab.cli import (
     KINDS,
+    MAX_FUNCTION_MODULUS,
     MAX_HATS,
     MAX_NUMERATOR,
     MAX_SPAN_DIM,
@@ -31,6 +33,8 @@ from nclab.cli import (
     render_text,
     run_config,
     run_experiment,
+    _branches_from_params,
+    _level_pairs_from_params,
 )
 from nclab.operators import TOL_SPECTRAL
 from nclab.spans import WORD_BUDGET
@@ -120,6 +124,14 @@ BAD_NUMBERS = {
     "bool arc k": (_branch(k=False), "'k'"),
     "huge arc start": (_branch(start=-HUGE), "bad branch data"),
     "huge breakpoint": (_function(1, low=-HUGE), "bad function data"),
+    # Modulus 2.1e308: this flipped tower once reported max_level_independence
+    # = Infinity, which strict JSON parsers reject.
+    "huge function value": (
+        _tower(branches=[FLIPPED_BRANCH, PRINCIPAL_BRANCH], functions=[
+            {"support_exponent": 0, "breakpoints": [-1.0, 0.0, 1.0],
+             "values": [[0, 0], [1.5e308, 1.5e308], [0, 0]]}]),
+        "function 0: values must have modulus",
+    ),
     "huge flip_start": ({"kind": "lemma_iso", "parameters": {**TORUS, "flip_start": HUGE}},
                         "'flip_start'"),
     "huge threshold": ({"kind": "torus", "parameters": TORUS,
@@ -422,6 +434,33 @@ class TestRunExperiment:
         assert repeated["details"]["pairs"] == 2
         assert repeated["residuals"] == single["residuals"]
 
+    def test_all_level_pairs_built_once_read_only(self):
+        pairs = _level_pairs_from_params({}, 1, 4)
+        assert pairs.tolist() == [[a, b] for a in range(1, 5) for b in range(a + 1, 5)]
+        assert _level_pairs_from_params({"level_pairs": "all"}, 1, 4) is pairs
+        assert not pairs.flags.writeable
+
+    def test_runs_of_equal_branches_share_one_object(self):
+        choice = [FLIPPED_BRANCH] + [PRINCIPAL_BRANCH] * 19
+        branches = _branches_from_params({"branches": choice}, 20)
+        assert branches == [BranchFunction.from_json(b) for b in choice]
+        assert len({id(b) for b in branches}) == 2
+
+    @pytest.mark.parametrize(
+        "choice, index",
+        [
+            # Equal to branch 0 under ==, since False == 0, but no integer.
+            ([PRINCIPAL_BRANCH, {"n": 2, "arcs": [{**PRINCIPAL_BRANCH["arcs"][0], "k": False}]}],
+             1),
+            ([PRINCIPAL_BRANCH] * 2 + [{"n": 2, "arcs": [{"start": 0, "end": 1, "k": 0}]}] * 2,
+             2),
+        ],
+        ids=["bool k after its equal", "gap in two equal branches"],
+    )
+    def test_branch_errors_name_the_first_bad_index(self, choice, index):
+        with pytest.raises(ConfigError, match=f"branch {index}"):
+            _branches_from_params({"branches": choice}, len(choice))
+
     def test_hat_count_at_its_limit(self, tmp_path, capsys):
         assert MAX_HATS == 256
         hats = {"functions": {"hat_family": {"count": MAX_HATS}}}
@@ -544,6 +583,18 @@ class TestMainExitCodes:
         assert main(["run", cfg]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["reports"][0]["residuals"]["max_level_independence"] > 0.1
+
+    def test_function_values_at_their_limit_report_finite(self, tmp_path, capsys):
+        values = [[0, 0], [MAX_FUNCTION_MODULUS, 0], [0, 0]]
+        top = {"support_exponent": 0, "breakpoints": [-1.0, 0.0, 1.0], "values": values}
+        config = _tower(branches=[FLIPPED_BRANCH, PRINCIPAL_BRANCH], functions=[top])
+        assert main(["run", write_config(tmp_path, config)]) == 1
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["reports"][0]["residuals"]["max_level_independence"] > 0
 
     def test_schema_violation_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "bogus"})

@@ -154,6 +154,80 @@ class TestBuildTower:
             build_tower(np.eye(2), 1, BranchFunction.principal(3))
 
 
+def recursion_angles(tower):
+    """The tower's angles by the per-level recursion: each level holds its
+    branch's root angles of the level below, folded into (-pi, pi]."""
+    angles = [tower.angles[0]]
+    for b in tower.branches:
+        a = b.root_angle(angles[-1])
+        angles.append(np.where(a > np.pi, a - TWO_PI, a))
+    return np.array(angles)
+
+
+@st.composite
+def mixed_branch_towers(draw):
+    """A base, clock(p, q) or a random unitary with q <= 16, and depth 1..48
+    branches in runs of principal, multi-arc all-index-0 and random branches."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        base = clock_matrix(draw(st.integers(-q, q)), q)
+    else:
+        base = random_unitary(q, rng)
+    depth = draw(st.integers(1, MAX_TOWER_DEPTH))
+    kinds = st.sampled_from(["principal", "index-0 arcs", "random"])
+    runs = draw(st.lists(st.tuples(kinds, st.integers(1, depth)), min_size=1, max_size=6))
+    branches = []
+    for kind, length in runs:
+        if kind == "principal":
+            branches += [PRINCIPAL] * length
+        elif kind == "index-0 arcs":
+            start, end = np.sort(rng.uniform(-np.pi, np.pi, size=2))
+            branches += [BranchFunction.with_flipped_arc(2, start, end, 0)] * length
+        else:
+            branches += [BranchFunction.random(2, rng) for _ in range(length)]
+    return base, (branches + [PRINCIPAL] * depth)[:depth]
+
+
+class TestPrincipalRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_branch_towers())
+    def test_match_the_per_level_recursion(self, case):
+        base, branches = case
+        tower = build_tower(base, len(branches), branches)
+        assert np.array_equal(tower.angles, recursion_angles(tower))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BranchFunction, "is_principal", False)
+            per_level = build_tower(base, len(branches), branches)
+        assert np.array_equal(per_level.angles, tower.angles)
+        assert per_level.residuals == tower.residuals
+
+    def test_take_no_root_step(self, monkeypatch):
+        calls = []
+        root_angle = BranchFunction.root_angle
+
+        def counted(branch, angle):
+            calls.append(branch)
+            return root_angle(branch, angle)
+
+        monkeypatch.setattr(BranchFunction, "root_angle", counted)
+        build_tower(clock_matrix(1, 32), 20, PRINCIPAL)
+        assert calls == []
+        flip = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
+        build_tower(clock_matrix(1, 32), 20, [flip] + [PRINCIPAL] * 19)
+        assert calls == [flip]
+
+    def test_subnormal_runs_match_halving_level_by_level(self):
+        # Angles near 2**-1000 halved 48 times fall below the smallest normal
+        # float, where one division by 2**k rounds once and k halvings round k
+        # times: the two differ on these angles.
+        theta = 2.0**-1000 * np.random.default_rng(0).uniform(1, 2, 16)
+        tower = build_tower(np.diag(np.exp(1j * theta)), MAX_TOWER_DEPTH, PRINCIPAL)
+        one_division = tower.angles[0] / 2.0 ** np.arange(MAX_TOWER_DEPTH + 1)[:, None]
+        assert not np.array_equal(one_division, tower.angles)
+        assert np.array_equal(tower.angles, recursion_angles(tower))
+
+
 @st.composite
 def bases_and_towers(draw):
     """A tower (depth <= 12, random branches) over clock(p, q) with |p| <= 2**53
@@ -202,7 +276,7 @@ class TestSquaringResiduals:
         t = build_tower(clock_matrix(1, 128), MAX_TOWER_DEPTH, PRINCIPAL)
         assert calls == []
         levels = range(t.depth + 1)
-        max_level_independence(t, hat(), [(a, b) for a in levels for b in levels])
+        max_level_independence(t, [hat()], [(a, b) for a in levels for b in levels])
         for k in levels:
             t.decomposition(k)
         assert calls == []
@@ -416,12 +490,12 @@ class TestMaxLevelIndependence:
             operator_norm(embed_on_level(tower, f, a) - embed_on_level(tower, f, b))
             for a, b in pairs
         )
-        assert abs(max_level_independence(tower, f, pairs) - expected) <= 1e-12
+        assert abs(max_level_independence(tower, [f], pairs) - expected) <= 1e-12
         below = f.support_exponent - 1
         with pytest.raises(ValueError) as embed_error:
             embed_compact_function(tower, f, below)
         with pytest.raises(ValueError, match="support exceeds") as pair_error:
-            max_level_independence(tower, f, pairs + [(below, tower.depth)])
+            max_level_independence(tower, [f], pairs + [(below, tower.depth)])
         assert str(pair_error.value) == str(embed_error.value)
 
     @settings(max_examples=60, deadline=None)
@@ -444,6 +518,20 @@ class TestMaxLevelIndependence:
             assert (1 - delta) * d - slack <= honest <= (1 + delta) * d + slack
             assert level_independence_residual(tower, f, a, b) == (1 + delta) * d
 
+    @settings(max_examples=60, deadline=None)
+    @given(towers_functions_and_pairs(), st.floats(-0.5, 0.5), st.floats(0.1, 0.5))
+    def test_many_functions_take_the_largest(self, case, center, half_width):
+        tower, f, pairs = case
+        g = hat(center, half_width, height=1.5 - 0.5j)
+        each = [max_level_independence(tower, [h], pairs) for h in (f, g)]
+        assert max_level_independence(tower, [f, g], pairs) == max(each)
+
+    def test_many_functions_raise_for_the_first_that_cannot_embed(self):
+        t = build_tower(clock_matrix(1, 4), 3, PRINCIPAL)
+        wide = [CompactFunction.hat(0.0, 2.0**e, support_exponent=e) for e in (2, 3)]
+        with pytest.raises(ValueError, match="support exponent 2 needs level >= 2, got 1"):
+            max_level_independence(t, [hat(), *wide], [(1, 3)])
+
     def test_basis_defect_vanishes_on_clock_bases(self):
         for p, q in [(1, 8), (3, 128), (5, 12)]:
             assert build_tower(clock_matrix(p, q), 3, PRINCIPAL).base.basis_defect == 0.0
@@ -451,18 +539,18 @@ class TestMaxLevelIndependence:
     def test_many_repeated_pairs(self):
         flip = BranchFunction.with_flipped_arc(2, -0.1, 0.1)
         t = build_tower(clock_matrix(1, 8), 2, [flip, PRINCIPAL])
-        worst = max_level_independence(t, hat(), [(0, 0)] * 100 + [(0, 1)])
+        worst = max_level_independence(t, [hat()], [(0, 0)] * 100 + [(0, 1)])
         assert worst > 0.1
         assert worst == level_independence_residual(t, hat(), 0, 1)
 
     def test_no_pairs(self):
         t = build_tower(clock_matrix(1, 4), 2, PRINCIPAL)
-        assert max_level_independence(t, hat(), []) == 0.0
+        assert max_level_independence(t, [hat(), hat(0.5, 0.25)], []) == 0.0
 
     def test_rejects_level_beyond_tower(self):
         t = build_tower(clock_matrix(1, 4), 2, PRINCIPAL)
         with pytest.raises(ValueError, match="outside"):
-            max_level_independence(t, hat(), [(0, 3)])
+            max_level_independence(t, [hat()], [(0, 3)])
 
 
 class TestMultiplierMembership:
