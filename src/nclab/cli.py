@@ -160,22 +160,22 @@ def _functions_from_params(params: dict) -> list[CompactFunction]:
         except ValueError as exc:
             raise ConfigError(f"tower: bad hat_family: {exc}") from exc
     if isinstance(choice, list) and choice:
-        try:
-            for i, f in enumerate(choice):
+        functions = []
+        for i, data in enumerate(choice):
+            where = f"tower: function {i}"
+            try:
                 # A support beyond the deepest tower leaves no level pair to compare.
-                _read(f, "support_exponent", f"tower: function {i}", integer=True, low=0,
-                      high=MAX_TOWER_DEPTH)
-            functions = [CompactFunction.from_json(f) for f in choice]
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"tower: bad function data: {exc}") from exc
-        for i, f in enumerate(functions):
+                _read(data, "support_exponent", where, integer=True, low=0, high=MAX_TOWER_DEPTH)
+                f = CompactFunction.from_json(data)
+            except ConfigError:
+                raise
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{where}: bad function data: {exc}") from exc
             if f.sup_norm() > MAX_FUNCTION_MODULUS:
                 raise ConfigError(
-                    f"tower: function {i}: values must have modulus at most "
-                    f"{MAX_FUNCTION_MODULUS:.3e}"
+                    f"{where}: values must have modulus at most {MAX_FUNCTION_MODULUS:.3e}"
                 )
+            functions.append(f)
         return functions
     raise ConfigError("tower: 'functions' must be a non-empty list or {\"hat_family\": {...}}")
 

@@ -84,17 +84,26 @@ def _diagonal_unitarity_defect(d: np.ndarray) -> float:
     return float(np.abs(d.real**2 + d.imag**2 - 1).max())
 
 
-def require_unitary(u) -> np.ndarray:
-    """Validate ``u`` as unitary within ``TOL_UNITARY`` and return it as an array;
-    a diagonal ``u`` is measured on its diagonal alone."""
+def _is_diagonal(u: np.ndarray) -> bool:
+    """True when ``u`` has no nonzero entry off its diagonal."""
+    return np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
+
+
+def _unitary_and_diagonal(u) -> tuple[np.ndarray, np.ndarray | None]:
+    """``u`` validated as unitary within ``TOL_UNITARY``, and its diagonal, or
+    None if ``u`` has a nonzero entry off it: the one test of "u is diagonal".
+    Only a non-diagonal ``u`` takes the dense ||u†u - I||."""
     u = as_operator(u)
-    if _is_diagonal(u):
-        defect = _diagonal_unitarity_defect(np.diagonal(u))
-    else:
-        defect = unitarity_defect(u)
+    diagonal = np.diagonal(u) if _is_diagonal(u) else None
+    defect = unitarity_defect(u) if diagonal is None else _diagonal_unitarity_defect(diagonal)
     if defect > TOL_UNITARY:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} exceeds {TOL_UNITARY:.3e}")
-    return u
+    return u, diagonal
+
+
+def require_unitary(u) -> np.ndarray:
+    """Validate ``u`` as unitary within ``TOL_UNITARY`` and return it as an array."""
+    return _unitary_and_diagonal(u)[0]
 
 
 def random_unitary(dim: int, rng) -> np.ndarray:
@@ -135,12 +144,15 @@ class SpectralDecomposition:
     degeneracy groups (angles closer than the clustering gap).
     ``basis_defect`` is δ = ||V†V - I||, the eigenvectors' roundoff from
     unitarity (0 on diagonal input), so ||V diag(x) V†|| is max|x| within 1 ± δ.
+    ``permutation`` is σ when V is the permutation whose column i is e_σ(i),
+    as on diagonal input, and None otherwise.
     """
 
     angles: np.ndarray
     vectors: np.ndarray
     clusters: list[list[int]]
     basis_defect: float
+    permutation: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -152,6 +164,14 @@ class SpectralDecomposition:
     def reconstruct(self) -> np.ndarray:
         """V diag(e^{i angle}) V†, the unitary this decomposition represents."""
         return (self.vectors * self.eigenvalues()) @ self.vectors.conj().T
+
+    def distance(self, values: np.ndarray, u: np.ndarray) -> float:
+        """||V diag(values) V† - u|| for the unitary ``u`` that was decomposed: on
+        a permutation σ, u and the difference are diagonal, so it is
+        max |values_i - u_σ(i)σ(i)| with no q x q product; else the SVD."""
+        if self.permutation is not None:
+            return float(np.abs(values - np.diagonal(u)[self.permutation]).max())
+        return operator_norm((self.vectors * values) @ self.vectors.conj().T - u)
 
 
 class Orthonormalizer:
@@ -235,32 +255,25 @@ def _canonical_cluster_basis(vectors: np.ndarray, clusters: list[list[int]]) -> 
     return out
 
 
-def _is_diagonal(u: np.ndarray) -> bool:
-    """True when ``u`` has no nonzero entry off its diagonal."""
-    return np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
-
-
 def spectral_decompose(u) -> SpectralDecomposition:
     """Orthonormal eigendecomposition of a unitary.
 
     A diagonal ``u``, such as every clock matrix, is read off: its diagonal
-    holds the eigenvalues and the identity the eigenvectors.  Otherwise ``u``
-    is rotated so that the middle of the widest gap between its eigenangles
-    sits at -1, and the eigenvectors are those of the Hermitian Cayley
-    transform i(I - w)(I + w)^-1 of the rotated w, orthonormal by
-    construction; each eigenvalue is the Rayleigh quotient v†uv.  Angles are
-    then sorted ascending and the basis canonicalized within each degeneracy
-    cluster against the standard basis.  Rejects inputs whose unitarity
-    defect exceeds ``TOL_UNITARY``; the output reproduces the input within
-    ``TOL_SPECTRAL``.  On diagonal input the eigenvectors are a permutation,
-    so the unitarity, basis and reconstruction checks are read off diagonals
-    in closed form and no q x q product is formed.
+    holds the eigenvalues.  Otherwise ``u`` is rotated so that the middle of
+    the widest gap between its eigenangles sits at -1, and the eigenvectors
+    are those of the Hermitian Cayley transform i(I - w)(I + w)^-1 of the
+    rotated w, orthonormal by construction; each eigenvalue is the Rayleigh
+    quotient v†uv.  Angles are then sorted ascending and the basis
+    canonicalized within each degeneracy cluster against the standard basis.
+    Rejects inputs whose unitarity defect exceeds ``TOL_UNITARY``; the output
+    reproduces the input within ``TOL_SPECTRAL``.  On diagonal input that
+    canonical basis is the permutation σ: the stable sort of the angles, each
+    cluster's indices in ascending order.  V is built from σ, and every check
+    is read off diagonals with no q x q product.
     """
-    u = require_unitary(u)
-    diagonal = _is_diagonal(u)
-    if diagonal:
-        eig, z = np.diagonal(u), np.eye(len(u), dtype=complex)
-    else:
+    u, diagonal = _unitary_and_diagonal(u)
+    eig = diagonal
+    if diagonal is None:
         # Every eigenvalue of w is at least half the widest gap, >= pi/q, from
         # -1, which bounds how far the Cayley transform amplifies roundoff.
         a = np.sort(np.angle(np.linalg.eigvals(u)))
@@ -275,31 +288,23 @@ def spectral_decompose(u) -> SpectralDecomposition:
     angles = _normalize_angles(np.angle(eig))
     order = np.argsort(angles, kind="stable")
     angles = angles[order]
-    vectors = z[:, order]
     clusters = _cluster_indices(angles, CLUSTER_GAP)
-    vectors = _canonical_cluster_basis(vectors, clusters)
-    if diagonal:
-        # V is a permutation: δ = 0 exactly, and V diag(e^{i angle}) V† - u is diagonal.
-        dec = SpectralDecomposition(angles, vectors, clusters, 0.0)
-        residual = _diagonal_distance(dec, dec.eigenvalues(), u)
-    else:
+    if diagonal is None:
+        vectors = _canonical_cluster_basis(z[:, order], clusters)
         dec = SpectralDecomposition(angles, vectors, clusters, unitarity_defect(vectors))
-        residual = operator_norm(dec.reconstruct() - u)
+    else:
+        for idx in clusters:
+            if len(idx) > 1:
+                order[idx] = np.sort(order[idx])
+        vectors = np.zeros((len(u), len(u)), dtype=complex)
+        vectors[order, np.arange(len(u))] = 1
+        dec = SpectralDecomposition(angles, vectors, clusters, 0.0, order)
+    residual = dec.distance(dec.eigenvalues(), u)
     if residual > TOL_SPECTRAL:
         raise ArithmeticError(
             f"spectral reconstruction residual {residual:.3e} exceeds {TOL_SPECTRAL:.3e}"
         )
     return dec
-
-
-def _diagonal_distance(dec: SpectralDecomposition, values: np.ndarray, u: np.ndarray) -> float:
-    """||V diag(values) V† - u|| for a diagonal ``u`` decomposed as ``dec``.
-
-    Its eigenvectors V are a permutation σ, so the difference is the diagonal
-    values_i - u_σ(i)σ(i), with u_σ(i)σ(i) = (Vᵀ diag(u))_i exactly, and its
-    norm is their largest modulus: O(q**2), with no q x q product.
-    """
-    return float(np.abs(values - dec.vectors.T @ np.diagonal(u)).max())
 
 
 def apply_circle_function(dec: SpectralDecomposition, g) -> np.ndarray:

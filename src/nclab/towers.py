@@ -19,11 +19,8 @@ import numpy as np
 from .operators import (
     TWO_PI,
     SpectralDecomposition,
-    _diagonal_distance,
-    _is_diagonal,
     apply_circle_function,
     as_operator,
-    operator_norm,
     spectral_decompose,
 )
 from .roots import BranchFunction
@@ -61,6 +58,13 @@ class CompactFunction:
             raise ValueError("breakpoints must be strictly increasing")
         if not (np.all(np.isfinite(self.breakpoints)) and np.all(np.isfinite(self.values))):
             raise ValueError("breakpoints and values must be finite")
+        # np.interp takes each part's slope as rise * (1 / run) and returns inf
+        # inside a segment where that is inf; NaN, from a zero rise, it mends.
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.diff([self.values.real, self.values.imag]) * (1 / np.diff(self.breakpoints))
+        steep = np.flatnonzero(np.isinf(slopes).any(axis=0))
+        if len(steep):
+            raise ValueError(f"segment {steep[0]} is too steep: its slope overflows")
         bound = 2.0 ** self.support_exponent
         if self.values[0] != 0 or self.values[-1] != 0:
             raise ValueError("function must vanish at its first and last breakpoints")
@@ -189,16 +193,11 @@ def build_tower(
     i = 1..j in one division (see :func:`_halvings`); only the other
     branches take a ``root_angle`` step per level.
 
-    Level 1's residual is ||u_1 @ u_1 - u|| against the input u, so it
-    carries the base's reconstruction error: on a diagonal u, whose
-    eigenvectors are a permutation, it is max |μ_1**2 - u_σ(i)σ(i)| in closed
-    form, and on any other u the honest product.  For k >= 2 it is
-    (1 + δ)(max |μ_k**2 - μ_{k-1}| + δ), elementwise on μ_k = e^{i angles[k]}, with
-    δ the base's ``basis_defect``, which bounds ||u_k**2 - u_{k-1}||, since
-    u_k**2 - u_{k-1} = V (D_k**2 - D_{k-1}) V† + V D_k (V†V - I) D_k V† and
-    ||V X V†|| <= (1 + δ) ||X||; on a clock base (δ = 0) it is the exact
-    elementwise maximum.  No level is formed beyond level 1, and none at all
-    on a diagonal u.
+    With μ_k = e^{i angles[k]}, D_k = diag(μ_k) and δ the base's ``basis_defect``,
+    u_k**2 = V D_k**2 V† + V D_k (V†V - I) D_k V† and ||V X V†|| <= (1 + δ) ||X||.
+    So ``base.distance(μ_1**2, u) + (1 + δ) δ`` bounds ||u_1**2 - u|| against the
+    input u, and (1 + δ)(max |μ_k**2 - μ_{k-1}| + δ) bounds ||u_k**2 - u_{k-1}||
+    for k >= 2; on a diagonal u (δ = 0) both are exact.  No level is formed.
     """
     u = as_operator(u)
     if depth < 1:
@@ -229,12 +228,7 @@ def build_tower(
                 k += 1
                 angles[k] = np.where(a > np.pi, a - TWO_PI, a)
     mu = np.exp(1j * angles)
-    # Level 1 ties the tower to u.
-    if _is_diagonal(u):
-        first = _diagonal_distance(base, mu[1] * mu[1], u)
-    else:
-        nxt = replace(base, angles=angles[1]).reconstruct()
-        first = operator_norm(nxt @ nxt - u)
+    first = base.distance(mu[1] * mu[1], u) + (1.0 + delta) * delta
     rest = (1.0 + delta) * (np.abs(mu[2:] * mu[2:] - mu[1:-1]).max(axis=1) + delta)
     return RootTower(branches, [first, *rest.tolist()], base, angles)
 

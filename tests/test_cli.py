@@ -132,6 +132,19 @@ BAD_NUMBERS = {
              "values": [[0, 0], [1.5e308, 1.5e308], [0, 0]]}]),
         "function 0: values must have modulus",
     ),
+    # np.interp's slope of segment 1 overflows: this config once exited 1 as a
+    # numerical failure ("circle function is not finite").
+    "steep function segment": (
+        _tower(functions=[
+            {"support_exponent": 0,
+             "breakpoints": [-1, 0.7499999999999999, 0.7500000000000001, 1],
+             "values": [[0, 0], [1e300, 0], [0, 0], [0, 0]]}]),
+        "function 0: bad function data: segment 1 is too steep",
+    ),
+    "hat half_width 1e-310": (
+        _tower(functions={"hat_family": {"count": 1, "half_width": 1e-310}}),
+        "bad hat_family: segment 0 is too steep",
+    ),
     "huge flip_start": ({"kind": "lemma_iso", "parameters": {**TORUS, "flip_start": HUGE}},
                         "'flip_start'"),
     "huge threshold": ({"kind": "torus", "parameters": TORUS,
@@ -595,6 +608,16 @@ class TestMainExitCodes:
 
         report = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert report["reports"][0]["residuals"]["max_level_independence"] > 0
+
+    def test_steepest_segment_reports_finite(self, tmp_path, capsys):
+        # Slope MAX_FUNCTION_MODULUS * 4, the largest finite float, over [0, 1/4],
+        # which holds the eigenangle 1/8 of clock(1, 16) at level 0.
+        values = [[0, 0], [0, 0], [MAX_FUNCTION_MODULUS, 0], [0, 0]]
+        steep = {"support_exponent": 0, "breakpoints": [-1.0, 0.0, 0.25, 1.0], "values": values}
+        config = _tower(q=16, functions=[steep])
+        assert main(["run", write_config(tmp_path, config)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["reports"][0]["residuals"]["max_level_independence"] == 0.0
 
     def test_schema_violation_exit_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "bogus"})

@@ -30,7 +30,6 @@ from nclab.operators import (
     SpectralDecomposition,
     _canonical_cluster_basis,
     _cluster_indices,
-    _diagonal_distance,
     _diagonal_unitarity_defect,
     _normalize_angles,
 )
@@ -210,7 +209,7 @@ class TestDiagonalInput:
             assert abs(_diagonal_unitarity_defect(np.diagonal(v)) - unitarity_defect(v)) <= q * EPS
         d = spectral_decompose(u)
         dense = operator_norm(d.reconstruct() - u)
-        assert abs(_diagonal_distance(d, d.eigenvalues(), u) - dense) <= q * EPS
+        assert abs(d.distance(d.eigenvalues(), u) - dense) <= q * EPS
 
     @pytest.mark.parametrize(
         "diagonal, error",

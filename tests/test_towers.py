@@ -1,10 +1,11 @@
 """Tests for square-root towers and compactly supported function embeddings."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nclab import (
@@ -23,12 +24,10 @@ from nclab import (
     operators,
     random_unitary,
     shift_matrix,
-    towers,
 )
 from nclab.operators import (
     TWO_PI,
     SpectralDecomposition,
-    _diagonal_distance,
     _diagonal_unitarity_defect,
     spectral_decompose,
     unitarity_defect,
@@ -66,6 +65,20 @@ class TestCompactFunction:
     def test_rejects_decreasing_breakpoints(self):
         with pytest.raises(ValueError, match="increasing"):
             CompactFunction(0, np.array([0.5, -0.5]), np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    def test_slope_at_the_overflow_limit(self, unit):
+        # np.interp takes a slope as rise * (1 / run): over a run of 2**-30 a
+        # rise of max * 2**-30 is the largest finite slope, one ulp more is inf.
+        run = 2.0**-30
+        rise = np.finfo(float).max * run
+        breakpoints = np.array([-1.0, 0.0, run, 1.0])
+        f = CompactFunction(0, breakpoints, np.array([0.0, 0.0, rise, 0.0]) * unit)
+        x = np.concatenate([np.linspace(-1.0, 1.0, 101), np.linspace(0.0, run, 101)])
+        assert np.all(np.isfinite(f(x)))
+        steeper = np.array([0.0, 0.0, np.nextafter(rise, np.inf), 0.0]) * unit
+        with pytest.raises(ValueError, match="segment 1 is too steep"):
+            CompactFunction(0, breakpoints, steeper)
 
     def test_add_is_pointwise(self):
         f, g = hat(0.0, 0.5), hat(0.25, 0.5)
@@ -264,6 +277,18 @@ class TestSquaringResiduals:
                 assert tower.residuals[k - 1] == np.abs(mu * mu - mu_prev).max()
             below = level
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_first_level_is_the_honest_product_within_roundoff(self, q, seed):
+        # Level 1 is certified as distance + (1 + δ) δ, not by the product
+        # u_1 @ u_1; on a random unitary the two agree within 2 q eps.
+        rng = np.random.default_rng(seed)
+        u = random_unitary(q, rng)
+        tower = build_tower(u, 1, BranchFunction.random(2, rng))
+        level = tower.level(1)
+        honest = operator_norm(level @ level - u)
+        assert abs(tower.residuals[0] - honest) <= 2 * q * np.finfo(float).eps
+
     def test_no_level_reconstructed_beyond_the_first(self, monkeypatch):
         calls = []
         reconstruct = SpectralDecomposition.reconstruct
@@ -340,9 +365,22 @@ class TestClockTowers:
         assert abs(_diagonal_unitarity_defect(np.diagonal(u)) - unitarity_defect(u)) <= slack
         assert base.basis_defect == unitarity_defect(base.vectors) == 0.0
         dense = operator_norm(base.reconstruct() - u)
-        assert abs(_diagonal_distance(base, base.eigenvalues(), u) - dense) <= slack
+        assert abs(base.distance(base.eigenvalues(), u) - dense) <= slack
         level = tower.level(1)
         assert abs(tower.residuals[0] - operator_norm(level @ level - u)) <= slack
+
+    @pytest.mark.parametrize("p, q", [(1, 128), (2, 8), (0, 5)])
+    def test_decides_diagonal_once(self, p, q):
+        # One scan of u, in spectral_decompose, and V built from σ alone, also
+        # for the degenerate clusters of clock(2, 8) and clock(0, 5).
+        with (
+            mock.patch.object(operators, "_is_diagonal", wraps=operators._is_diagonal) as scan,
+            mock.patch.object(operators, "_canonical_cluster_basis") as canonical,
+        ):
+            tower = build_tower(clock_matrix(p, q), MAX_TOWER_DEPTH, PRINCIPAL)
+        assert scan.call_count == 1
+        canonical.assert_not_called()
+        assert tower.base.permutation is not None
 
     def test_forms_no_dense_check(self, monkeypatch):
         def dense(*args):
@@ -350,7 +388,7 @@ class TestClockTowers:
 
         monkeypatch.setattr(operators, "unitarity_defect", dense)
         monkeypatch.setattr(SpectralDecomposition, "reconstruct", dense)
-        monkeypatch.setattr(towers, "operator_norm", dense)
+        monkeypatch.setattr(operators, "operator_norm", dense)
         u = clock_matrix(1, 128)
         assert spectral_decompose(u).basis_defect == 0.0
         assert max(build_tower(u, MAX_TOWER_DEPTH, PRINCIPAL).residuals) <= TOL_ROOT
@@ -446,6 +484,9 @@ def functions_and_pairs(draw, depth):
     exponent = draw(st.integers(0, min(2, depth)))
     bound = 2.0**exponent
     knots = draw(st.lists(st.floats(-bound, bound), min_size=2, max_size=7, unique=True))
+    # np.interp takes a slope as rise * (1 / run), so CompactFunction refuses a
+    # run whose 1 / run, times a rise of up to 4, overflows.
+    assume(np.diff(np.sort(knots)).min() >= 4 * np.finfo(float).tiny)
     parts = st.floats(-2, 2)
     inner = [complex(draw(parts), draw(parts)) for _ in range(len(knots) - 2)]
     f = CompactFunction(exponent, np.sort(knots), np.array([0j] + inner + [0j]))
