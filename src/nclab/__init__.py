@@ -11,7 +11,6 @@ from .operators import (
     apply_circle_function,
     as_operator,
     circle_function_distance,
-    hs_inner,
     hs_norm,
     operator_norm,
     random_unitary,
@@ -34,8 +33,6 @@ from .spans import (
     amplification_iso_check,
     generate_span,
     membership_residual,
-    multiplier_membership_check,
-    power_membership_residuals,
 )
 from .torus import (
     AnticommutingWitness,
@@ -45,7 +42,6 @@ from .torus import (
     anticommuting_root_example,
     clock_matrix,
     clock_shift,
-    commutation_residual,
     covering_generator_products,
     iterate_theta_halving,
     shift_matrix,
@@ -66,7 +62,6 @@ __all__ = [
     "apply_circle_function",
     "as_operator",
     "circle_function_distance",
-    "hs_inner",
     "hs_norm",
     "operator_norm",
     "random_unitary",
@@ -85,8 +80,6 @@ __all__ = [
     "amplification_iso_check",
     "generate_span",
     "membership_residual",
-    "multiplier_membership_check",
-    "power_membership_residuals",
     "AnticommutingWitness",
     "ThetaHalvingReport",
     "TorusParams",
@@ -94,7 +87,6 @@ __all__ = [
     "anticommuting_root_example",
     "clock_matrix",
     "clock_shift",
-    "commutation_residual",
     "covering_generator_products",
     "iterate_theta_halving",
     "shift_matrix",

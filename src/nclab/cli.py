@@ -72,26 +72,30 @@ class ExperimentConfig:
     compute: Callable
 
 
-def _read(obj: dict, key: str, where: str, default=None, integer=False, low=None, high=None):
-    """``obj[key]``, or ``default`` if absent, as a finite number in [low, high],
-    integral if ``integer``; ``ConfigError`` otherwise (strings, null, bools,
+def _number(value, name: str, integer=False, low=None, high=None):
+    """``value`` as a finite number in [low, high], integral if ``integer``;
+    ``ConfigError`` calling it ``name`` otherwise (strings, null, bools,
     integers beyond the range of a float)."""
+    # The bound fails for NaN and the infinities too.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if integer and value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    value = int(value) if integer else float(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ConfigError(f"{name} must be {bounds}, got {value!r}")
+    return value
+
+
+def _read(obj: dict, key: str, where: str, default=None, integer=False, low=None, high=None):
+    """``obj[key]``, or ``default`` if absent, under the rule of :func:`_number`."""
     if key not in obj:
         if default is None:
             raise ConfigError(f"{where} requires parameter '{key}'")
         return default
-    value = obj[key]
-    # The bound fails for NaN and the infinities too.
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and abs(value) <= sys.float_info.max):
-        raise ConfigError(f"{where}: '{key}' must be a finite number, got {value!r}")
-    if integer and value != int(value):
-        raise ConfigError(f"{where}: '{key}' must be an integer, got {value!r}")
-    value = int(value) if integer else float(value)
-    if (low is not None and value < low) or (high is not None and value > high):
-        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
-        raise ConfigError(f"{where}: '{key}' must be {bounds}, got {value!r}")
-    return value
+    return _number(obj[key], f"{where}: '{key}'", integer, low, high)
 
 
 def _require_known(obj: dict, known: tuple, where: str) -> None:
@@ -121,17 +125,20 @@ def _branches_from_params(params: dict, depth: int) -> BranchFunction | list[Bra
     branches = []
     for i, branch in enumerate(choice):
         where = f"tower: branch {i}"
+        bad = f"{where}: bad branch data"
         try:
-            _read(branch, "n", where, integer=True)
-            for arc in branch["arcs"]:
-                _read(arc, "k", f"{where} arc", integer=True)
+            # Every branch of an equal run is read, since under == true equals 1.
+            _read(branch, "n", bad, integer=True)
+            for j, arc in enumerate(branch["arcs"]):
+                for key in ("start", "end", "k"):
+                    _read(arc, key, f"{bad}: arc {j}", integer=key == "k")
             # A run of equal branch objects shares one validated BranchFunction.
             if i == 0 or branch != choice[i - 1]:
                 built = BranchFunction.from_json(branch)
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{where}: bad branch data: {exc}") from exc
+            raise ConfigError(f"{bad}: {exc}") from exc
         if built.n != 2:
             raise ConfigError(f"{where}: every branch must be a square-root branch (n = 2)")
         branches.append(built)
@@ -163,14 +170,20 @@ def _functions_from_params(params: dict) -> list[CompactFunction]:
         functions = []
         for i, data in enumerate(choice):
             where = f"tower: function {i}"
+            bad = f"{where}: bad function data"
             try:
                 # A support beyond the deepest tower leaves no level pair to compare.
-                _read(data, "support_exponent", where, integer=True, low=0, high=MAX_TOWER_DEPTH)
+                _read(data, "support_exponent", bad, integer=True, low=0, high=MAX_TOWER_DEPTH)
+                for j, x in enumerate(data["breakpoints"]):
+                    _number(x, f"{bad}: breakpoint {j}")
+                for j, value in enumerate(data["values"]):
+                    for part in value:
+                        _number(part, f"{bad}: value {j}")
                 f = CompactFunction.from_json(data)
             except ConfigError:
                 raise
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{where}: bad function data: {exc}") from exc
+                raise ConfigError(f"{bad}: {exc}") from exc
             if f.sup_norm() > MAX_FUNCTION_MODULUS:
                 raise ConfigError(
                     f"{where}: values must have modulus at most {MAX_FUNCTION_MODULUS:.3e}"
@@ -295,10 +308,9 @@ def _read_span(params: dict, seed: int, max_dim: int):
     def compute():
         rep = clock_shift(torus)
         span = generate_span([rep.U, rep.V], word_cap)
-        summary = span.report()["residual_summary"]
         values = [
-            summary["max_generator_membership"],
-            summary["max_basis_orthonormality_defect"],
+            span.max_generator_membership,
+            span.orthonormality_defect(),
             0 if expected is None else abs(span.span_dim - expected),
         ]
         return values, {"span_dim": span.span_dim, "word_cap": word_cap, "dim": torus.q}

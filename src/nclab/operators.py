@@ -1,5 +1,5 @@
-"""Dense complex-matrix foundation: norms, inner products, and the spectral
-calculus of unitaries.
+"""Dense complex-matrix foundation: norms and the spectral calculus of
+unitaries.
 
 Operators are plain square ``numpy`` arrays of ``complex128``.  Validation
 helpers enforce the contracts (finite entries, unitarity within tolerance),
@@ -64,15 +64,6 @@ def hs_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product trace(a† b), conjugate-linear in ``a``."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return complex(np.trace(a.conj().T @ b))
-
-
 def unitarity_defect(u) -> float:
     """The measured distance ||u†u - I|| from exact unitarity."""
     u = as_operator(u)
@@ -119,7 +110,7 @@ def _normalize_angles(angles: np.ndarray) -> np.ndarray:
     return np.where(np.pi - np.abs(angles) <= CUT_WINDOW, np.pi, angles)
 
 
-def _cluster_indices(angles: np.ndarray, gap: float) -> list[list[int]]:
+def cluster_indices(angles: np.ndarray, gap: float) -> list[list[int]]:
     """Group sorted angles into degeneracy clusters by circular distance."""
     n = len(angles)
     clusters: list[list[int]] = [[0]]
@@ -288,7 +279,7 @@ def spectral_decompose(u) -> SpectralDecomposition:
     angles = _normalize_angles(np.angle(eig))
     order = np.argsort(angles, kind="stable")
     angles = angles[order]
-    clusters = _cluster_indices(angles, CLUSTER_GAP)
+    clusters = cluster_indices(angles, CLUSTER_GAP)
     if diagonal is None:
         vectors = _canonical_cluster_basis(z[:, order], clusters)
         dec = SpectralDecomposition(angles, vectors, clusters, unitarity_defect(vectors))

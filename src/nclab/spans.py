@@ -26,8 +26,8 @@ import numpy as np
 from .operators import (
     CLUSTER_GAP,
     Orthonormalizer,
-    _cluster_indices,
     as_operator,
+    cluster_indices,
     hs_norm,
     spectral_decompose,
 )
@@ -58,17 +58,7 @@ class GeneratedAlgebraSpan:
     dim: int
     max_generator_membership: float = 0.0
 
-    def report(self) -> dict:
-        return {
-            "span_dim": self.span_dim,
-            "word_cap": self.word_cap,
-            "residual_summary": {
-                "max_generator_membership": self.max_generator_membership,
-                "max_basis_orthonormality_defect": self._orthonormality_defect(),
-            },
-        }
-
-    def _orthonormality_defect(self) -> float:
+    def orthonormality_defect(self) -> float:
         """max |<b_i, b_j> - delta_ij|, from the Gram matrix in blocks of rows."""
         flat = self.basis.reshape(self.span_dim, -1)
         defect = 0.0
@@ -154,44 +144,6 @@ def membership_residual(span: GeneratedAlgebraSpan, x) -> float:
     flat = span.basis.reshape(span.span_dim, -1)
     residual = v - flat.T @ (flat @ v.conj()).conj()
     return float(np.linalg.norm(residual)) / max(1.0, hs_norm(x))
-
-
-def power_membership_residuals(span: GeneratedAlgebraSpan, v, n: int) -> list[float]:
-    """Membership residuals of v, v**2, ..., v**(n-1) against a base span.
-
-    A soft numerical witness that the intermediate root powers lie outside
-    the base algebra; large residuals are evidence, not proof.
-    """
-    v = as_operator(v)
-    return [
-        membership_residual(span, np.linalg.matrix_power(v, i)) for i in range(1, n)
-    ]
-
-
-def multiplier_membership_check(base_words, cover_ops, span) -> list[dict]:
-    """Products of base elements with covering elements, tested against a span.
-
-    For every pair (b, c) reports the span-membership residuals of b @ c and
-    c @ b; small residuals mean the base algebra multiplies the covering
-    span into itself.
-    """
-    base_words = [as_operator(b) for b in base_words]
-    cover_ops = [as_operator(c) for c in cover_ops]
-    for x in base_words + cover_ops:
-        if x.shape[0] != span.dim:
-            raise ValueError(f"dimension mismatch: {x.shape[0]} vs span dim {span.dim}")
-    report = []
-    for i, b in enumerate(base_words):
-        for j, c in enumerate(cover_ops):
-            report.append(
-                {
-                    "base_index": i,
-                    "cover_index": j,
-                    "left_residual": membership_residual(span, b @ c),
-                    "right_residual": membership_residual(span, c @ b),
-                }
-            )
-    return report
 
 
 @dataclass
@@ -338,7 +290,7 @@ def amplification_iso_check(
     w_rank = len(set((xi.branch_index(dec.angles) - eta.branch_index(dec.angles)) % n))
     span_dims = []
     for root_pows in (xi_pows, eta_pows):
-        roots = len(_cluster_indices(np.sort(np.angle(root_pows[1])), CLUSTER_GAP / n))
+        roots = len(cluster_indices(np.sort(np.angle(root_pows[1])), CLUSTER_GAP / n))
         span_dims.append(min(n * len(a_words), roots) * w_rank * m * m)
     dom_dim, img_dim = span_dims
     return AmplificationIsoReport(

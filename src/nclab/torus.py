@@ -21,7 +21,7 @@ from math import gcd, pi, sin
 
 import numpy as np
 
-from .operators import as_operator, operator_norm
+from .operators import operator_norm
 from .towers import CompactFunction, RootTower, embed_compact_function
 
 
@@ -53,13 +53,6 @@ class TorusParams:
     def halved(self) -> "TorusParams":
         return TorusParams(self.p, 2 * self.q)
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "q": self.q}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TorusParams":
-        return cls(int(data["p"]), int(data["q"]))
-
 
 @dataclass
 class TorusRep:
@@ -88,15 +81,6 @@ def clock_matrix(p: int, q: int) -> np.ndarray:
 def shift_matrix(q: int) -> np.ndarray:
     """Cyclic shift e_j -> e_{j+1 mod q}."""
     return np.roll(np.eye(q, dtype=complex), 1, axis=0)
-
-
-def commutation_residual(a, b, theta: float) -> float:
-    """||a b - e^{2 pi i theta} b a||."""
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return operator_norm(a @ b - np.exp(2j * np.pi * theta) * b @ a)
 
 
 def _shift_relation_residual(d: np.ndarray, phase: float) -> float:

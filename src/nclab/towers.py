@@ -20,7 +20,6 @@ from .operators import (
     TWO_PI,
     SpectralDecomposition,
     apply_circle_function,
-    as_operator,
     spectral_decompose,
 )
 from .roots import BranchFunction
@@ -101,40 +100,9 @@ class CompactFunction:
         vals = np.array([0.0, height, 0.0], dtype=complex)
         return cls(support_exponent, bps, vals)
 
-    def scaled(self, factor: complex) -> "CompactFunction":
-        return CompactFunction(self.support_exponent, self.breakpoints, factor * self.values)
-
-    def add(self, other: "CompactFunction") -> "CompactFunction":
-        """Pointwise sum, sampled on the merged breakpoints."""
-        bps = np.union1d(self.breakpoints, other.breakpoints)
-        return CompactFunction(
-            max(self.support_exponent, other.support_exponent), bps, self(bps) + other(bps)
-        )
-
-    def multiply(self, other: "CompactFunction") -> "CompactFunction":
-        """Pointwise product, re-sampled on merged breakpoints plus midpoints.
-
-        The true product is piecewise-quadratic; the midpoint refinement
-        keeps the piecewise-linear resampling within desk-scale tolerances
-        at the sample grid.
-        """
-        merged = np.union1d(self.breakpoints, other.breakpoints)
-        mids = 0.5 * (merged[:-1] + merged[1:])
-        bps = np.union1d(merged, mids)
-        return CompactFunction(
-            max(self.support_exponent, other.support_exponent), bps, self(bps) * other(bps)
-        )
-
     def sup_norm(self) -> float:
         # |affine segment| is convex, so the maximum sits at a breakpoint.
         return float(np.max(np.abs(self.values)))
-
-    def to_json(self) -> dict:
-        return {
-            "support_exponent": self.support_exponent,
-            "breakpoints": [float(b) for b in self.breakpoints],
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "CompactFunction":
@@ -199,7 +167,6 @@ def build_tower(
     input u, and (1 + δ)(max |μ_k**2 - μ_{k-1}| + δ) bounds ||u_k**2 - u_{k-1}||
     for k >= 2; on a diagonal u (δ = 0) both are exact.  No level is formed.
     """
-    u = as_operator(u)
     if depth < 1:
         raise ValueError("tower depth must be at least 1")
     if depth > MAX_TOWER_DEPTH:

@@ -23,7 +23,7 @@ from nclab import (
     generate_span,
     iterate_theta_halving,
     level_independence_residual,
-    multiplier_membership_check,
+    membership_residual,
     nth_root_branch,
     operator_norm,
     random_unitary,
@@ -240,10 +240,10 @@ def test_criterion_9_multiplier_proxy():
     covers = [embed_compact_function(tower, f, 2) for f in hats]
     span = generate_span([u] + covers, 2)
     base_words = [np.eye(q), u, u.conj().T, u @ u]
-    report = multiplier_membership_check(base_words, covers, span)
-    worst = max(max(r["left_residual"], r["right_residual"]) for r in report)
-    negative = multiplier_membership_check([shift_matrix(q)], covers, span)
-    control = max(r["left_residual"] for r in negative)
+    worst = max(
+        membership_residual(span, x) for b in base_words for c in covers for x in (b @ c, c @ b)
+    )
+    control = max(membership_residual(span, shift_matrix(q) @ c) for c in covers)
     elapsed = time.perf_counter() - start
     announce(
         9,

@@ -103,13 +103,13 @@ def _tower(**parameters):
     return {"kind": "tower", "parameters": {"p": 1, "q": 8, "depth": 2, **parameters}}
 
 
-def _function(exponent, low=-1.0):
-    hat = {"breakpoints": [low, 0.0, 1.0], "values": [[0, 0], [1, 0], [0, 0]]}
+def _function(exponent, low=-1.0, peak=(1, 0)):
+    hat = {"breakpoints": [low, 0.0, 1.0], "values": [[0, 0], list(peak), [0, 0]]}
     return _tower(functions=[{"support_exponent": exponent, **hat}])
 
 
-def _branch(n=2, k=0, start=-np.pi):
-    arcs = [{"start": start, "end": np.pi, "k": k}]
+def _branch(n=2, k=0, start=-np.pi, end=np.pi):
+    arcs = [{"start": start, "end": end, "k": k}]
     return _tower(branches=[{"n": n, "arcs": arcs}, PRINCIPAL_BRANCH])
 
 
@@ -123,7 +123,13 @@ BAD_NUMBERS = {
     "fractional arc k": (_branch(k=0.7), "'k'"),
     "bool arc k": (_branch(k=False), "'k'"),
     "huge arc start": (_branch(start=-HUGE), "bad branch data"),
+    "string arc start": (_branch(start=str(-np.pi)), "bad branch data: arc 0: 'start'"),
+    "bool arc end": (_branch(end=True), "bad branch data: arc 0: 'end'"),
     "huge breakpoint": (_function(1, low=-HUGE), "bad function data"),
+    "string breakpoint": (_function(0, low="-1"), "bad function data: breakpoint 0"),
+    "bool breakpoint": (_function(0, low=False), "bad function data: breakpoint 0"),
+    "bool value part": (_function(0, peak=(True, 0)), "bad function data: value 1"),
+    "string value part": (_function(0, peak=(1, "0")), "bad function data: value 1"),
     # Modulus 2.1e308: this flipped tower once reported max_level_independence
     # = Infinity, which strict JSON parsers reject.
     "huge function value": (
@@ -467,8 +473,14 @@ class TestRunExperiment:
              1),
             ([PRINCIPAL_BRANCH] * 2 + [{"n": 2, "arcs": [{"start": 0, "end": 1, "k": 0}]}] * 2,
              2),
+            # Equal to branch 0 under ==, since True == 1, but no number.
+            ([{"n": 2, "arcs": [{"start": -np.pi, "end": 1, "k": 0},
+                                {"start": start, "end": np.pi, "k": 0}]} for start in (1, True)],
+             1),
         ],
-        ids=["bool k after its equal", "gap in two equal branches"],
+        ids=[
+            "bool k after its equal", "gap in two equal branches", "bool start after its equal"
+        ],
     )
     def test_branch_errors_name_the_first_bad_index(self, choice, index):
         with pytest.raises(ConfigError, match=f"branch {index}"):
@@ -695,6 +707,20 @@ class TestMainExitCodes:
     def test_bad_number_exit_two(self, tmp_path, capsys, config, field):
         assert main(["run", write_config(tmp_path, config)]) == 2
         assert field in capsys.readouterr().err
+
+    def test_strings_and_bools_in_branches_and_functions_exit_two(self, tmp_path, capsys):
+        # Every number of this config but one is a string or a bool.
+        config = _tower(
+            branches=[
+                {"n": 2, "arcs": [{"start": str(-np.pi), "end": True, "k": 0},
+                                  {"start": True, "end": str(np.pi), "k": 0}]},
+                PRINCIPAL_BRANCH,
+            ],
+            functions=[{"support_exponent": 0, "breakpoints": ["-1", False, True],
+                        "values": [[0, 0], [True, 0], [0, 0]]}],
+        )
+        assert main(["run", write_config(tmp_path, config)]) == 2
+        assert "branch 0: bad branch data: arc 0: 'start'" in capsys.readouterr().err
 
     @settings(max_examples=150, deadline=None)
     @given(config=_CONFIGS)

@@ -1,4 +1,4 @@
-"""Tests for the matrix foundation: norms, inner products, spectral calculus."""
+"""Tests for the matrix foundation: norms and the spectral calculus."""
 
 from unittest import mock
 
@@ -13,7 +13,6 @@ from nclab import (
     apply_circle_function,
     circle_function_distance,
     clock_matrix,
-    hs_inner,
     nth_root_branch,
     operator_norm,
     operators,
@@ -29,9 +28,9 @@ from nclab.operators import (
     Orthonormalizer,
     SpectralDecomposition,
     _canonical_cluster_basis,
-    _cluster_indices,
     _diagonal_unitarity_defect,
     _normalize_angles,
+    cluster_indices,
 )
 
 
@@ -125,38 +124,6 @@ class TestMonomialNorm:
             assert operator_norm(diff) == np.abs(diff).max()
             operator_norm(np.linalg.matrix_power(u, 7) - np.eye(7))
         svd_norm.assert_not_called()
-
-
-class TestHsInner:
-    def test_identity_trace(self):
-        assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_orthogonal_pauli_pair(self):
-        z = np.diag([1.0, -1.0])
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert hs_inner(z, x) == pytest.approx(0.0)
-
-    def test_frobenius_square(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        assert hs_inner(a, a) == pytest.approx(30.0)
-
-    def test_conjugate_symmetric(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert hs_inner(a, b) == pytest.approx(np.conj(hs_inner(b, a)))
-
-    def test_positive_definite(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-            val = hs_inner(a, a)
-            assert abs(val.imag) < 1e-12
-            assert val.real > 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            hs_inner(np.eye(2), np.eye(3))
 
 
 # Phases a diagonal draw repeats: both sides of the cut at +-pi, the window's
@@ -393,7 +360,7 @@ def schur_decompose(u) -> SpectralDecomposition:
     angles = np.angle(np.diag(t) / np.abs(np.diag(t)))
     angles = np.where(np.pi - np.abs(angles) <= SCHUR_CUT_WINDOW, np.pi, angles)
     order = np.argsort(angles, kind="stable")
-    clusters = _cluster_indices(angles[order], CLUSTER_GAP)
+    clusters = cluster_indices(angles[order], CLUSTER_GAP)
     vectors = _canonical_cluster_basis(z[:, order], clusters)
     return SpectralDecomposition(angles[order], vectors, clusters, unitarity_defect(vectors))
 

@@ -15,7 +15,6 @@ from nclab import (
     anticommuting_root_example,
     build_tower,
     clock_shift,
-    commutation_residual,
     covering_generator_products,
     generate_span,
     iterate_theta_halving,
@@ -43,10 +42,6 @@ class TestTorusParams:
         assert TorusParams(-1, 3).phase == 2 / 3
         assert TorusParams(2**53 + 1, 4).phase == 1 / 4
         assert TorusParams(2**1100 + 1, 3).phase == 2 / 3
-
-    def test_json_round_trip(self):
-        p = TorusParams(3, 7)
-        assert TorusParams.from_json(p.to_json()) == p
 
 
 class TestClockShift:
@@ -180,27 +175,6 @@ class TestStructuredResiduals:
         finally:
             tracemalloc.stop()
         assert peak < square_bytes
-
-
-class TestCommutationResidual:
-    def test_commuting_diagonal_pair(self):
-        a = np.diag([1.0, 1j])
-        b = np.diag([1j, -1.0])
-        assert commutation_residual(a, b, 0.0) == pytest.approx(0.0)
-
-    def test_pauli_pair_at_half(self):
-        rep = clock_shift(TorusParams(1, 2))
-        assert commutation_residual(rep.U, rep.V, 0.5) < 1e-12
-
-    def test_pauli_pair_at_zero(self):
-        rep = clock_shift(TorusParams(1, 2))
-        value = commutation_residual(rep.U, rep.V, 0.0)
-        assert value > 1.0
-        assert value == pytest.approx(2.0)  # ||UV - VU|| = 2||UV|| for the exchange pair
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            commutation_residual(np.eye(2), np.eye(3), 0.0)
 
 
 class TestCoveringGeneratorProducts:
