@@ -76,8 +76,13 @@ def _diagonal_unitarity_defect(d: np.ndarray) -> float:
 
 
 def _is_diagonal(u: np.ndarray) -> bool:
-    """True when ``u`` has no nonzero entry off its diagonal."""
-    return np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
+    """True when the square ``u`` has no nonzero entry off its diagonal.
+
+    Row-major, the q**2 - 1 entries before the last are q - 1 rows of q + 1
+    that each start on the diagonal; the rest of each row is off it, and a
+    1 x 1 ``u`` leaves no row."""
+    q = len(u)
+    return not u.reshape(-1)[:-1].reshape(q - 1, q + 1)[:, 1:].any()
 
 
 def _unitary_and_diagonal(u) -> tuple[np.ndarray, np.ndarray | None]:

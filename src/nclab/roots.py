@@ -40,12 +40,15 @@ class BranchFunction:
     ``arcs`` lists (start, end, k): half-open arcs [start, end) running
     counterclockwise and partitioning (-pi, pi]; an angle on a boundary belongs
     to the arc starting there.  Angle methods take floats or arrays alike.
+    ``is_principal`` is True when every arc has index 0, so that
+    ``root_angle`` is angle / n.
     """
 
     n: int
     arcs: tuple[tuple[float, float, int], ...]
     _starts: np.ndarray = field(init=False, repr=False, compare=False)
     _indices: np.ndarray = field(init=False, repr=False, compare=False)
+    is_principal: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -72,6 +75,7 @@ class BranchFunction:
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "_starts", np.array([s for s, _, _ in arcs]))
         object.__setattr__(self, "_indices", np.array([k for _, _, k in arcs]))
+        object.__setattr__(self, "is_principal", not any(k for _, _, k in arcs))
 
     @classmethod
     def principal(cls, n: int) -> "BranchFunction":
@@ -111,11 +115,6 @@ class BranchFunction:
                 arcs.append((-np.pi, starts[0], int(ks[-1])))
             arcs.append((float(starts[i]), float(end), int(ks[i])))
         return cls(n, tuple(arcs))
-
-    @property
-    def is_principal(self) -> bool:
-        """Every arc has index 0, so ``root_angle`` is angle / n."""
-        return not self._indices.any()
 
     def branch_index(self, angle):
         """Branch index at ``angle``: the arc with the largest start <= angle."""

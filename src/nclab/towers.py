@@ -221,20 +221,22 @@ def _require_level(tower: RootTower, k: int) -> None:
         raise ValueError(f"level {k} outside 0..{tower.depth}")
 
 
-def _level_values(tower: RootTower, f: CompactFunction, levels) -> np.ndarray:
-    """Rows f(2**k * a / pi) on level k's eigenangles a for the sorted unique
-    ``levels``; raises for the first level at which ``f`` cannot be embedded."""
-    levels = np.asarray(levels)
-    if f.support_exponent > levels[0]:
+def _require_support(f: CompactFunction, level) -> None:
+    if f.support_exponent > level:
         raise ValueError(
             f"support exceeds tower depth: support exponent {f.support_exponent} "
-            f"needs level >= {f.support_exponent}, got {levels[0]}"
+            f"needs level >= {f.support_exponent}, got {level}"
         )
-    if levels[-1] > tower.depth:
-        _require_level(tower, levels[levels > tower.depth][0])
-    scales = 2.0 ** levels / np.pi
-    values = np.asarray(f(scales[:, None] * tower.angles[levels]), complex)
-    if not np.all(np.isfinite(values)):
+
+
+def _arguments(tower: RootTower, levels) -> np.ndarray:
+    """Rows 2**k * a / pi on level k's eigenangles a, for valid ``levels``."""
+    return (2.0 ** np.asarray(levels) / np.pi)[:, None] * tower.angles[levels]
+
+
+def _finite_values(f: CompactFunction, x: np.ndarray) -> np.ndarray:
+    values = np.asarray(f(x), complex)
+    if not np.isfinite(values).all():
         raise ValueError("circle function is not finite on every eigenangle")
     return values
 
@@ -246,32 +248,62 @@ def embed_compact_function(tower: RootTower, f: CompactFunction, level: int) -> 
     composite of rescaling the support into [-1, 1], wrapping [-1, 1] onto
     the circle, and functional calculus.
     """
-    (values,) = _level_values(tower, f, [level])
-    return apply_circle_function(tower.decomposition(level), lambda a: values)
+    _require_support(f, level)
+    decomposition = tower.decomposition(level)
+    (values,) = _finite_values(f, _arguments(tower, [level]))
+    return apply_circle_function(decomposition, lambda a: values)
 
 
 def max_level_independence(tower: RootTower, functions, pairs) -> float:
     """(1 + δ) max |f_a(angle_i) - f_b(angle_i)| over the ``functions`` f (a
     sequence) and the level pairs (a, b) (a sequence of pairs or a (count, 2)
     integer array): a certified upper bound on max ||embed(f, a) - embed(f, b)||;
-    0 for no pair.
+    0 for no pair or no function.
 
     A difference of levels is V diag(f_a - f_b) V† on the tower's shared
     eigenvectors V, whose norm lies within a factor 1 ± δ of the diagonal's
-    maximum, δ = ||V†V - I|| being the base's ``basis_defect``.  The pairs are
-    indexed once for every function; each function takes one gather of its
-    level values, so the working set is pairs * q.  Raises the errors of
-    ``embed_compact_function`` for the first function that has one.
+    maximum, δ = ||V†V - I|| being the base's ``basis_defect``.
+
+    f_k is f evaluated on the row x_k = 2**k * angles[k] / pi, so two levels
+    whose rows are bitwise equal differ by exactly 0.  The requested levels,
+    sorted, split into runs wherever a row differs from the one before; a
+    principal branch leaves the row as it was, since it halves the angles
+    exactly and the scale doubles exactly.  So a tower has at most one run
+    more than it has non-principal branches, unless its halvings reach
+    subnormal angles (see :func:`_halvings`), whose rows differ and stay
+    apart.  Each function is evaluated on one row per run and compared over
+    the distinct pairs of runs that the level pairs name, so it costs q per
+    run and per named pair of runs, not q per level pair.
+
+    Raises the errors of ``embed_compact_function`` for the first function
+    that has one.
     """
     pairs = np.asarray(pairs).reshape(-1, 2)
-    if not len(pairs):
+    if not len(pairs) or not len(functions):
         return 0.0
+    # return_inverse keeps np.unique off the path that imports numpy.ma.
     levels, index = np.unique(pairs, return_inverse=True)
-    first, second = index.reshape(-1, 2).T
+    # The first function's support is checked before the level range, as
+    # embed_compact_function checks them.
+    _require_support(functions[0], levels[0])
+    if levels[-1] > tower.depth:
+        _require_level(tower, levels[levels > tower.depth][0])
+    x = _arguments(tower, levels)
+    starts = np.concatenate(([True], (x[1:] != x[:-1]).any(axis=1)))
+    run = np.add.accumulate(starts, dtype=np.intp) - 1
+    a, b = run[index.reshape(-1, 2)].T
+    runs = run[-1] + 1
+    named = np.zeros((runs, runs), bool)
+    named[np.minimum(a, b), np.maximum(a, b)] = True
+    named.flat[:: runs + 1] = False
+    first, second = np.nonzero(named)
+    rows = x[starts]
     worst = 0.0
     for f in functions:
-        values = _level_values(tower, f, levels)
-        worst = max(worst, np.abs(values[first] - values[second]).max())
+        _require_support(f, levels[0])
+        values = _finite_values(f, rows)
+        if len(first):
+            worst = max(worst, np.abs(values[first] - values[second]).max())
     # Rounding is monotone, so scaling the maximum equals the maximum of the scaled.
     return float((1.0 + tower.base.basis_defect) * worst)
 

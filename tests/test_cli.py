@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclab import BranchFunction
+from nclab import BranchFunction, CompactFunction
 from nclab.cli import (
     KINDS,
     MAX_FUNCTION_MODULUS,
@@ -494,6 +494,28 @@ class TestRunExperiment:
         report = json.loads(capsys.readouterr().out)["reports"][0]
         assert report["details"]["functions"] == MAX_HATS
 
+    @pytest.mark.parametrize("flipped, rows", [(False, 1), (True, 2)])
+    def test_guard_limit_towers_evaluate_each_hat_once_per_run(self, monkeypatch, flipped, rows):
+        # The CI's two towers at the depth, dimension and hat limits: all 1,128
+        # level pairs, compared as one run of equal levels with principal
+        # branches and as two runs with a flipped first level.
+        params = {"p": 1, "q": 128, "depth": MAX_TOWER_DEPTH, "level_pairs": "all",
+                  "functions": {"hat_family": {"count": MAX_HATS}}}
+        if flipped:
+            params["branches"] = [FLIPPED_BRANCH] + [PRINCIPAL_BRANCH] * (MAX_TOWER_DEPTH - 1)
+        (cfg,), _ = parse_config({"kind": "tower", "parameters": params})
+        shapes = []
+        call = CompactFunction.__call__
+
+        def spy(f, x):
+            shapes.append(np.shape(x))
+            return call(f, x)
+
+        monkeypatch.setattr(CompactFunction, "__call__", spy)
+        (_, independence), _ = cfg.compute()
+        assert shapes == [(rows, 128)] * MAX_HATS
+        assert (independence > 0.1) == flipped
+
     @pytest.mark.parametrize(
         "params, dim", COUNTED_DIMENSIONS.values(), ids=COUNTED_DIMENSIONS.keys()
     )
@@ -764,6 +786,8 @@ class TestMainExitCodes:
     def test_no_run_imports_scipy(self, tmp_path):
         # In a fresh interpreter where importing scipy fails: the README config
         # and a depth-20 tower at q = 32 run, and non-diagonal input decomposes.
+        # Neither run imports numpy.ma, which np.unique without return_inverse
+        # does and which adds about 1 MiB of resident memory.
         script = """
 import json, sys
 sys.modules["scipy"] = None
@@ -773,6 +797,7 @@ from nclab.cli import main
 from nclab.operators import operator_norm, random_unitary, spectral_decompose
 from nclab.torus import shift_matrix
 codes = [main(["run", path, "--format", "csv"]) for path in sys.argv[2:]]
+codes.append("numpy.ma" in sys.modules)
 residuals = []
 for u in (random_unitary(4, np.random.default_rng(0)), shift_matrix(8)):
     residuals.append(operator_norm(spectral_decompose(u).reconstruct() - u))
@@ -784,7 +809,7 @@ print(json.dumps([codes, residuals]))
         proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"), *paths],
                               capture_output=True, text=True, timeout=120, check=True)
         codes, residuals = json.loads(proc.stdout.splitlines()[-1])
-        assert codes == [0, 0]
+        assert codes == [0, 0, False]
         assert max(residuals) <= TOL_SPECTRAL
 
     def test_invalid_json_exit_two(self, tmp_path, capsys):

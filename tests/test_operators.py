@@ -178,6 +178,24 @@ class TestDiagonalInput:
         dense = operator_norm(d.reconstruct() - u)
         assert abs(d.distance(d.eigenvalues(), u) - dense) <= q * EPS
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 8, 128])
+    def test_is_diagonal_agrees_with_counting_nonzeros(self, q):
+        # The count of nonzeros on the whole of u against those on its
+        # diagonal, which the off-diagonal scan replaced, is the oracle.
+        def counted(u):
+            return np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
+
+        corners = {(0, q - 1), (q - 1, 0)}
+        beside = {(i, i + 1) for i in (0, q // 2, q - 2) if 0 <= i < q - 1}
+        positions = corners | beside | {(j, i) for i, j in beside}
+        for i, j in sorted(positions):
+            for value in (1.0, 1e-300j, 5e-324, -0.0):
+                u = clock_matrix(1, q)
+                u[i, j] = value
+                for layout in (u, np.asfortranarray(u)):
+                    assert operators._is_diagonal(layout) == counted(u)
+                assert counted(u) == (i == j or value == 0)
+
     @pytest.mark.parametrize(
         "diagonal, error",
         [

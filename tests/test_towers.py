@@ -1,5 +1,6 @@
 """Tests for square-root towers and compactly supported function embeddings."""
 
+import copy
 import json
 import math
 import sys
@@ -171,7 +172,8 @@ def recursion_angles(tower):
 @st.composite
 def mixed_branch_towers(draw):
     """A base, clock(p, q) or a random unitary with q <= 16, and depth 1..48
-    branches in runs of principal, multi-arc all-index-0 and random branches."""
+    branches in runs of principal, multi-arc all-index-0, flipped-arc and
+    random branches."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = draw(st.integers(1, 16))
     if draw(st.booleans()):
@@ -179,15 +181,16 @@ def mixed_branch_towers(draw):
     else:
         base = random_unitary(q, rng)
     depth = draw(st.integers(1, MAX_TOWER_DEPTH))
-    kinds = st.sampled_from(["principal", "index-0 arcs", "random"])
+    kinds = st.sampled_from(["principal", "index-0 arcs", "flipped", "random"])
     runs = draw(st.lists(st.tuples(kinds, st.integers(1, depth)), min_size=1, max_size=6))
     branches = []
     for kind, length in runs:
         if kind == "principal":
             branches += [PRINCIPAL] * length
-        elif kind == "index-0 arcs":
+        elif kind in ("index-0 arcs", "flipped"):
             start, end = np.sort(rng.uniform(-np.pi, np.pi, size=2))
-            branches += [BranchFunction.with_flipped_arc(2, start, end, 0)] * length
+            k = 0 if kind == "index-0 arcs" else 1
+            branches += [BranchFunction.with_flipped_arc(2, start, end, k)] * length
         else:
             branches += [BranchFunction.random(2, rng) for _ in range(length)]
     return base, (branches + [PRINCIPAL] * depth)[:depth]
@@ -200,9 +203,10 @@ class TestPrincipalRuns:
         base, branches = case
         tower = build_tower(base, len(branches), branches)
         assert np.array_equal(tower.angles, recursion_angles(tower))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(BranchFunction, "is_principal", False)
-            per_level = build_tower(base, len(branches), branches)
+        per_level_branches = [copy.copy(b) for b in branches]
+        for b in per_level_branches:
+            object.__setattr__(b, "is_principal", False)
+        per_level = build_tower(base, len(branches), per_level_branches)
         assert np.array_equal(per_level.angles, tower.angles)
         assert per_level.residuals == tower.residuals
 
@@ -596,6 +600,49 @@ class TestMaxLevelIndependence:
         t = build_tower(clock_matrix(1, 4), 2, PRINCIPAL)
         with pytest.raises(ValueError, match="outside"):
             max_level_independence(t, [hat()], [(0, 3)])
+
+
+def pairwise_level_independence(tower, functions, pairs):
+    """max_level_independence as one gather over every requested level pair,
+    the form that comparing runs of equal rows replaced: its bitwise oracle."""
+    pairs = np.asarray(pairs).reshape(-1, 2)
+    if not len(pairs):
+        return 0.0
+    levels, index = np.unique(pairs, return_inverse=True)
+    first, second = index.reshape(-1, 2).T
+    worst = 0.0
+    for f in functions:
+        scales = 2.0**levels / np.pi
+        values = f(scales[:, None] * tower.angles[levels])
+        worst = max(worst, np.abs(values[first] - values[second]).max())
+    return float((1.0 + tower.base.basis_defect) * worst)
+
+
+class TestLevelRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_branch_towers(), st.data())
+    def test_equal_the_pairwise_gather(self, case, data):
+        base, branches = case
+        tower = build_tower(base, len(branches), branches)
+        f, pairs = data.draw(functions_and_pairs(tower.depth))
+        functions = [f, hat(0.25, 0.5, 1.5 - 0.5j)]
+        low = f.support_exponent
+        every = np.stack(np.triu_indices(tower.depth - low + 1, 1), axis=1) + low
+        for chosen in (pairs, every):
+            worst = max_level_independence(tower, functions, chosen)
+            assert worst == pairwise_level_independence(tower, functions, chosen)
+
+    def test_subnormal_rows_stay_apart(self):
+        # Halved 48 times, angles near 2**-1000 turn subnormal and each row
+        # rounds apart from the others (see TestPrincipalRuns).  The function
+        # is linear on (0, 2**-996), where every row lies, so rows that differ
+        # in their last bits give values that differ.
+        theta = 2.0**-1000 * np.random.default_rng(0).uniform(1, 2, 16)
+        tower = build_tower(np.diag(np.exp(1j * theta)), MAX_TOWER_DEPTH, PRINCIPAL)
+        steep = CompactFunction(0, np.array([-1, 0, 2.0**-996, 1]), np.array([0, 0, 1, 0]))
+        every = np.stack(np.triu_indices(MAX_TOWER_DEPTH + 1, 1), axis=1)
+        worst = max_level_independence(tower, [steep], every)
+        assert 0 < worst == pairwise_level_independence(tower, [steep], every)
 
 
 class TestMultiplierMembership:
