@@ -11,7 +11,9 @@ The torus relations are read from the structure of the generators: the
 clock U = diag(d) is its diagonal d, and the shift V is the index roll
 e_j -> e_{j+1}.  So U V - w V U has the entries d_i - w d_{i-1} at (i, i-1)
 and no others, U**n = diag(d**n), and V**n is the roll by n mod q; no
-residual forms a q x q array.
+residual forms a q x q array.  d**n is numpy's power: binary exponentiation
+for |n| < 100, libm's cpow from there.  A representation keeps d and forms
+the dense U and V only when they are read.
 """
 
 from __future__ import annotations
@@ -56,14 +58,22 @@ class TorusParams:
 
 @dataclass
 class TorusRep:
-    """Clock/shift pair satisfying U V = e^{2 pi i p/q} V U with U^q = V^q = I."""
+    """Clock/shift pair satisfying U V = e^{2 pi i p/q} V U with U^q = V^q = I.
+    It holds the clock's diagonal and forms the dense U and V on each read."""
 
     params: TorusParams
-    U: np.ndarray
-    V: np.ndarray
+    clock_diagonal: np.ndarray
     commutation_residual: float
     clock_order_residual: float
     shift_order_residual: float
+
+    @property
+    def U(self) -> np.ndarray:
+        return np.diag(self.clock_diagonal)
+
+    @property
+    def V(self) -> np.ndarray:
+        return shift_matrix(self.params.q)
 
 
 def _clock_diagonal(p: int, q: int) -> np.ndarray:
@@ -92,10 +102,10 @@ def _shift_relation_residual(d: np.ndarray, phase: float) -> float:
 
 
 def _diagonal_order_residual(d: np.ndarray, n: int) -> float:
-    """||diag(d)**n - I||, with d**n from numpy's repeated squaring applied
-    to q blocks of size 1 x 1."""
-    power = np.linalg.matrix_power(d[:, None, None], n)[:, 0, 0]
-    return float(np.abs(power - 1).max())
+    """||diag(d)**n - I||, with d**n from numpy's elementwise power.  For
+    |n| < 100 that is the binary exponentiation of np.linalg.matrix_power,
+    bitwise; from n = 100 on numpy calls libm's cpow instead."""
+    return float(np.abs(d**n - 1).max())
 
 
 def _shift_order_residual(q: int, n: int) -> float:
@@ -115,8 +125,7 @@ def clock_shift(params: TorusParams) -> TorusRep:
     d = _clock_diagonal(params.p, q)
     return TorusRep(
         params=params,
-        U=np.diag(d),
-        V=shift_matrix(q),
+        clock_diagonal=d,
         commutation_residual=_shift_relation_residual(d, params.phase),
         clock_order_residual=_diagonal_order_residual(d, q),
         shift_order_residual=_shift_order_residual(q, q),

@@ -42,6 +42,9 @@ KEEP = {
     "RootTower.level": "test oracle",
     "SpectralDecomposition.reconstruct": "test oracle, and the CI's runtime check",
     "BranchFunction.to_json": "the CI writes its branch configs with it",
+    # Formed on read; no module reads them.
+    "TorusRep.U": "the README quick start and the tests read them",
+    "TorusRep.V": "the README quick start and the tests read them",
     # Entry points called from outside the package.
     "main": "the nclab console script and python -m nclab.cli",
 }

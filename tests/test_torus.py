@@ -21,7 +21,7 @@ from nclab import (
     operator_norm,
     theta_halving_embedding,
 )
-from nclab.torus import _shift_order_residual
+from nclab.torus import _clock_diagonal, _diagonal_order_residual, _shift_order_residual
 
 
 class TestTorusParams:
@@ -128,6 +128,16 @@ def dense_clock_shift(params: TorusParams) -> tuple[float, float, float]:
     )
 
 
+def peak_bytes(function, *args) -> int:
+    """The peak memory that tracemalloc sees during function(*args)."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def assert_within_roundoff(values, oracle, powers):
     for value, expected, n in zip(values, oracle, powers, strict=True):
         bound = roundoff_bound(n)
@@ -140,8 +150,10 @@ class TestStructuredResiduals:
     against honest dense products."""
 
     @settings(max_examples=60, deadline=None)
-    @given(p=st.integers(-(2**53), 2**53), q=st.integers(1, 64))
+    @given(p=st.integers(-(2**53), 2**53), q=st.integers(1, 128))
     @example(p=1, q=63)
+    @example(p=1, q=100)
+    @example(p=1, q=128)
     @example(p=2**53 - 1, q=64)
     @example(p=-(2**53), q=63)
     def test_match_dense_oracle(self, p, q):
@@ -165,16 +177,30 @@ class TestStructuredResiduals:
                 expected = dense_order(v, n)
                 assert abs(_shift_order_residual(q, n) - expected) <= 4 * EPS
 
+    def test_order_residual_is_the_matrix_power_below_100(self):
+        # Below |n| = 100 numpy's power is the binary exponentiation of
+        # matrix_power, bitwise; an elementwise squaring loop is not.
+        def matrix_power_residual(d, n):
+            power = np.linalg.matrix_power(d[:, None, None], n)[:, 0, 0]
+            return float(np.abs(power - 1).max())
+
+        for q in range(1, 100):
+            for p in range(q):
+                if gcd(p, q) != 1:
+                    continue
+                target = TorusParams(p, q).halved()
+                halved = _clock_diagonal(target.p, target.q)
+                for d in (_clock_diagonal(p, q), halved * halved):
+                    assert _diagonal_order_residual(d, q) == matrix_power_residual(d, q)
+
+    def test_clock_shift_allocates_no_square_array(self):
+        # The torus kind reads only the residuals; U and V are formed on read.
+        q = 128
+        assert peak_bytes(clock_shift, TorusParams(1, q)) < 16 * q * q
+
     def test_halving_step_allocates_no_square_array(self):
         q = 128
-        square_bytes = 16 * q * q
-        tracemalloc.start()
-        try:
-            theta_halving_embedding(TorusParams(1, q // 2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < square_bytes
+        assert peak_bytes(theta_halving_embedding, TorusParams(1, q // 2)) < 16 * q * q
 
 
 class TestCoveringGeneratorProducts:
