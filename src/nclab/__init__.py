@@ -45,7 +45,6 @@ from .torus import (
     covering_generator_products,
     iterate_theta_halving,
     shift_matrix,
-    theta_halving_embedding,
 )
 from .towers import (
     CompactFunction,
@@ -90,7 +89,6 @@ __all__ = [
     "covering_generator_products",
     "iterate_theta_halving",
     "shift_matrix",
-    "theta_halving_embedding",
     "CompactFunction",
     "RootTower",
     "build_tower",

@@ -390,7 +390,7 @@ def parse_experiment(obj: dict, index: int, seed: int, max_dim: int) -> Experime
         raise ConfigError(f"experiment {index} must be an object")
     _require_known(obj, ("kind", "name", "parameters", "checks"), f"experiment {index}")
     kind = obj.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         kinds = tuple(KINDS)
         raise ConfigError(f"experiment {index}: unknown kind {kind!r}; expected one of {kinds}")
     params = obj.get("parameters", {})

@@ -14,6 +14,10 @@ and no others, U**n = diag(d**n), and V**n is the roll by n mod q; no
 residual forms a q x q array.  d**n is numpy's power: binary exponentiation
 for |n| < 100, libm's cpow from there.  A representation keeps d and forms
 the dense U and V only when they are read.
+
+A theta tower takes all its halving steps in one pass, from one stacked
+diagonal: its targets' clock diagonals end to end, one elementwise pass per
+residual, and a maximum per step.
 """
 
 from __future__ import annotations
@@ -76,11 +80,16 @@ class TorusRep:
         return shift_matrix(self.params.q)
 
 
+def _clock_entries(p, k, q):
+    """e^{2 pi i ((p k) mod q) / q}, elementwise over integer scalars or
+    arrays p, k and q.  The phase comes from the exact fraction, so rounding
+    does not compound along a diagonal and an entry -1 has angle exactly pi."""
+    return np.exp(2j * np.pi * (p * k % q / q))
+
+
 def _clock_diagonal(p: int, q: int) -> np.ndarray:
-    """(1, w, w^2, ...) with w = e^{2 pi i p/q}.  Entry k takes its phase from
-    the exact fraction ((p k) mod q) / q, so rounding does not compound along
-    the diagonal and an entry -1 has angle exactly pi."""
-    return np.exp(2j * np.pi * ((p % q) * np.arange(q) % q / q))
+    """(1, w, w^2, ...) with w = e^{2 pi i p/q}."""
+    return _clock_entries(p % q, np.arange(q), q)
 
 
 def clock_matrix(p: int, q: int) -> np.ndarray:
@@ -93,19 +102,25 @@ def shift_matrix(q: int) -> np.ndarray:
     return np.roll(np.eye(q, dtype=complex), 1, axis=0)
 
 
-def _shift_relation_residual(d: np.ndarray, phase: float) -> float:
-    """||diag(d) V - e^{2 pi i phase} V diag(d)|| for the cyclic shift V.
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)  # the starts of a clock_shift's d
+
+
+def _shift_relation_residual(d: np.ndarray, w, prev: np.ndarray, starts) -> np.ndarray:
+    """||diag(d) V - w V diag(d)|| for the cyclic shift V, per segment of d:
+    the segments lie end to end and begin at `starts`.
 
     The difference is monomial, with the entries d_i - w d_{i-1} at (i, i-1),
-    so its norm is their largest modulus; d_{i-1} wraps around at i = 0."""
-    return float(np.abs(d - np.exp(2j * np.pi * phase) * d[np.arange(len(d)) - 1]).max())
+    so its norm is their largest modulus; d[prev[i]] is d_{i-1}, which wraps
+    around at the segment's start.  w is one phase or one per entry."""
+    return np.maximum.reduceat(np.abs(d - w * d[prev]), starts)
 
 
-def _diagonal_order_residual(d: np.ndarray, n: int) -> float:
-    """||diag(d)**n - I||, with d**n from numpy's elementwise power.  For
-    |n| < 100 that is the binary exponentiation of np.linalg.matrix_power,
-    bitwise; from n = 100 on numpy calls libm's cpow instead."""
-    return float(np.abs(d**n - 1).max())
+def _diagonal_order_residual(d: np.ndarray, n, starts) -> np.ndarray:
+    """||diag(d)**n - I|| per segment, with d**n from numpy's elementwise power
+    (n one integer or one per entry).  For |n| < 100 that is the binary
+    exponentiation of np.linalg.matrix_power, bitwise; from n = 100 on numpy
+    calls libm's cpow instead."""
+    return np.maximum.reduceat(np.abs(d**n - 1), starts)
 
 
 def _shift_order_residual(q: int, n: int) -> float:
@@ -123,11 +138,12 @@ def clock_shift(params: TorusParams) -> TorusRep:
     with the residuals of its three relations (measured, not judged)."""
     q = params.q
     d = _clock_diagonal(params.p, q)
+    w = np.exp(2j * np.pi * params.phase)
     return TorusRep(
         params=params,
         clock_diagonal=d,
-        commutation_residual=_shift_relation_residual(d, params.phase),
-        clock_order_residual=_diagonal_order_residual(d, q),
+        commutation_residual=_shift_relation_residual(d, w, np.arange(q) - 1, _ONE_SEGMENT).item(),
+        clock_order_residual=_diagonal_order_residual(d, q, _ONE_SEGMENT).item(),
         shift_order_residual=_shift_order_residual(q, q),
     )
 
@@ -206,32 +222,36 @@ class ThetaHalvingReport:
     image_shift_order_residual: float
 
 
-def theta_halving_embedding(params: TorusParams) -> ThetaHalvingReport:
-    """One step of the halving tower: represent theta/2 and measure how far
-    the squared clock with the same shift is from the theta relations."""
-    target = params.halved()
-    d = _clock_diagonal(target.p, target.q)
-    d2 = d * d
-    return ThetaHalvingReport(
-        source=params,
-        target=target,
-        source_dim=params.q,
-        target_dim=target.q,
-        target_relation_residual=_shift_relation_residual(d, target.phase),
-        image_relation_residual=_shift_relation_residual(d2, params.phase),
-        image_clock_order_residual=_diagonal_order_residual(d2, params.q),
-        image_shift_order_residual=_shift_order_residual(target.q, 2 * params.q),
-    )
-
-
 def iterate_theta_halving(params: TorusParams, steps: int) -> list[ThetaHalvingReport]:
-    """Repeatedly halve the rotation parameter, reporting every step."""
+    """Repeatedly halve the rotation parameter, reporting every step: each
+    represents theta/2 and measures how far the squared clock with the same
+    shift is from the theta relations.  Segment s of the stacked diagonal is
+    the clock diagonal of step s's target."""
     if steps < 1:
         raise ValueError("need at least one halving step")
-    reports = []
-    current = params
+    chain = [params]
     for _ in range(steps):
-        report = theta_halving_embedding(current)
-        reports.append(report)
-        current = report.target
-    return reports
+        chain.append(chain[-1].halved())
+    sources, targets = chain[:-1], chain[1:]
+    dims = np.array([t.q for t in targets])
+    starts = np.cumsum(dims) - dims
+    segment = np.repeat(np.arange(steps), dims)
+    index = np.arange(len(segment))
+    prev = index - 1
+    prev[starts] += dims
+    numerators = np.array([t.p % t.q for t in targets])
+    d = _clock_entries(numerators[segment], index - starts[segment], dims[segment])
+    d2 = d * d
+    phases = np.exp(2j * np.pi * np.array([t.phase for t in chain]))
+    target_relation = _shift_relation_residual(d, phases[1:][segment], prev, starts)
+    image_relation = _shift_relation_residual(d2, phases[:-1][segment], prev, starts)
+    orders = np.array([s.q for s in sources])
+    image_clock_order = _diagonal_order_residual(d2, orders[segment], starts)
+    columns = (target_relation.tolist(), image_relation.tolist(), image_clock_order.tolist())
+    return [
+        ThetaHalvingReport(
+            source, target, source.q, target.q, *residuals,
+            _shift_order_residual(target.q, 2 * source.q),
+        )
+        for source, target, *residuals in zip(sources, targets, *columns)
+    ]

@@ -658,6 +658,14 @@ class TestMainExitCodes:
         assert main(["run", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [[], {}, 1, None, True])
+    def test_non_string_kind_exit_two(self, tmp_path, capsys, kind):
+        # A list or an object is unhashable, so it must be refused before
+        # the lookup in KINDS.
+        cfg = write_config(tmp_path, {"kind": kind})
+        assert main(["run", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_lemma_iso_at_the_dimension_limit(self, tmp_path, capsys):
         """lemma_iso at q=128 with the default n=2, m=2, word_cap=3: 0.02 s and a
         4.4 MiB tracemalloc peak on one core."""

@@ -19,7 +19,6 @@ from nclab import (
     generate_span,
     iterate_theta_halving,
     operator_norm,
-    theta_halving_embedding,
 )
 from nclab.torus import _clock_diagonal, _diagonal_order_residual, _shift_order_residual
 
@@ -165,7 +164,7 @@ class TestStructuredResiduals:
         assert_within_roundoff(values, oracle, (1, params.q, params.q))
         assert rep.shift_order_residual == 0.0 == oracle[2]
         dims, step_oracle = two_rep_halving_step(params)
-        step = theta_halving_embedding(params)
+        (step,) = iterate_theta_halving(params, 1)
         assert (step.source_dim, step.target_dim) == dims
         assert_within_roundoff(step_values(step), step_oracle, (1, 2, 2 * params.q, 2 * params.q))
         assert step.image_shift_order_residual == 0.0 == step_oracle[3]
@@ -191,7 +190,7 @@ class TestStructuredResiduals:
                 target = TorusParams(p, q).halved()
                 halved = _clock_diagonal(target.p, target.q)
                 for d in (_clock_diagonal(p, q), halved * halved):
-                    assert _diagonal_order_residual(d, q) == matrix_power_residual(d, q)
+                    assert _diagonal_order_residual(d, q, [0])[0] == matrix_power_residual(d, q)
 
     def test_clock_shift_allocates_no_square_array(self):
         # The torus kind reads only the residuals; U and V are formed on read.
@@ -200,7 +199,12 @@ class TestStructuredResiduals:
 
     def test_halving_step_allocates_no_square_array(self):
         q = 128
-        assert peak_bytes(theta_halving_embedding, TorusParams(1, q // 2)) < 16 * q * q
+        assert peak_bytes(iterate_theta_halving, TorusParams(1, q // 2), 1) < 16 * q * q
+
+    def test_theta_tower_allocates_no_square_array(self):
+        # Six steps from 1/2 stack the diagonals of dimensions 4, 8, ..., 128.
+        q = 128
+        assert peak_bytes(iterate_theta_halving, TorusParams(1, 2), 6) < 16 * q * q
 
 
 class TestCoveringGeneratorProducts:
@@ -261,7 +265,7 @@ class TestAnticommutingWitness:
 
 class TestThetaHalving:
     def test_third_to_sixth(self):
-        report = theta_halving_embedding(TorusParams(1, 3))
+        (report,) = iterate_theta_halving(TorusParams(1, 3), 1)
         assert report.target == TorusParams(1, 6)
         assert report.target_dim == 6
         assert report.image_relation_residual < 1e-10
@@ -269,7 +273,7 @@ class TestThetaHalving:
         assert report.image_shift_order_residual < 1e-10
 
     def test_commutative_point(self):
-        report = theta_halving_embedding(TorusParams(0, 1))
+        (report,) = iterate_theta_halving(TorusParams(0, 1), 1)
         assert report.image_relation_residual < 1e-12
         assert report.target_relation_residual < 1e-12
 
@@ -281,19 +285,19 @@ class TestThetaHalving:
         assert all(r.image_relation_residual < 1e-9 for r in reports)
 
     def test_even_numerator_reduces(self):
-        report = theta_halving_embedding(TorusParams(2, 3))
+        (report,) = iterate_theta_halving(TorusParams(2, 3), 1)
         assert report.target == TorusParams(1, 3)
         assert report.image_relation_residual < 1e-10
 
     def test_image_satisfies_source_relation(self):
         for p, q in [(1, 2), (1, 5), (3, 7), (2, 9)]:
-            report = theta_halving_embedding(TorusParams(p, q))
+            (report,) = iterate_theta_halving(TorusParams(p, q), 1)
             assert report.image_relation_residual < 1e-9
 
     def test_measures_past_the_cli_guard(self):
         # The library neither guards dimensions nor judges residuals: the
         # step to 130 > 128 is measured, and the CLI's checks decide.
-        report = theta_halving_embedding(TorusParams(1, 65))
+        (report,) = iterate_theta_halving(TorusParams(1, 65), 1)
         assert report.target_dim == 130
         assert report.image_relation_residual < 1e-10
 
@@ -310,6 +314,43 @@ class TestThetaHalving:
             powers = (1, 2, 2 * report.source.q, 2 * report.source.q)
             assert_within_roundoff(step_values(report), oracle, powers)
 
+    def test_stacked_pass_is_bitwise_the_single_step(self):
+        # Odd p doubles q at each step and even p does not; (1, 64) and
+        # (3, 100) reach image clock orders n >= 100, where numpy's power
+        # calls libm's cpow.
+        cases = [(p, q, 4) for q in range(1, 13) for p in range(-q - 1, 2 * q + 2)]
+        cases += [(1, 64, 2), (3, 100, 1), (2**53 - 1, 3, 5), (-(2**53), 5, 5)]
+        for p, q, steps in cases:
+            source = TorusParams(p, q)
+            reports = iterate_theta_halving(source, steps)
+            assert len(reports) == steps
+            for report in reports:
+                target = source.halved()
+                assert (report.source, report.target) == (source, target)
+                assert (report.source_dim, report.target_dim) == (source.q, target.q)
+                assert step_values(report) == single_step_reference(source)
+                source = target
+
+
+def single_step_reference(params: TorusParams) -> tuple[float, float, float, float]:
+    """One halving step measured alone, from its own clock diagonal, its own
+    exp and one residual pass per relation: the stacked pass of
+    iterate_theta_halving must reproduce these values bitwise."""
+    target = params.halved()
+    q = target.q
+    d = np.exp(2j * np.pi * ((target.p % q) * np.arange(q) % q / q))
+    d2 = d * d
+
+    def relation(d, phase):
+        return float(np.abs(d - np.exp(2j * np.pi * phase) * d[np.arange(len(d)) - 1]).max())
+
+    return (
+        relation(d, target.phase),
+        relation(d2, params.phase),
+        float(np.abs(d2**params.q - 1).max()),
+        _shift_order_residual(q, 2 * params.q),
+    )
+
 
 def step_values(report) -> tuple[float, float, float, float]:
     return (
@@ -322,8 +363,8 @@ def step_values(report) -> tuple[float, float, float, float]:
 
 def two_rep_halving_step(params: TorusParams) -> tuple[tuple[int, int], tuple[float, ...]]:
     """The halving step from two full clock/shift pairs, with every residual
-    a dense product and an SVD norm: the reference for
-    theta_halving_embedding.  Returns the (source, target) dimensions and the
+    a dense product and an SVD norm: the reference for each step of
+    iterate_theta_halving.  Returns the (source, target) dimensions and the
     four step residuals."""
     target = params.halved()
     source_u, _ = dense_pair(params)
